@@ -1,41 +1,27 @@
 /**
  * @file
- * End-to-end demo of the cache substrate: a raw CPU load/store stream
- * flows through the L2 + DRAM-cache hierarchy, condenses into
- * few-dirty-word PCM write-backs (the Figure 2 phenomenon), and then
- * drives a core through the timed CacheTier in front of the PCMap
- * memory system — hand-composing the same MemoryPort stack that
- * System builds for tier=dram:... configurations (CoreModel ->
- * CacheTier -> MainMemory) instead of using the prebuilt System.
+ * End-to-end demo of the timed DRAM cache tier: one core pulls the
+ * profile-driven stream of workload::SyntheticGenerator (the source
+ * System builds for every core) through a CacheTier in front of the
+ * PCMap memory system.  It hand-composes the same MemoryPort stack
+ * that System builds for tier=dram:... configurations (CoreModel ->
+ * CacheTier -> MainMemory) instead of using the prebuilt System.  The
+ * tier absorbs write-backs into resident lines, so PCM sees only its
+ * dirty victims, each carrying the words dirtied while resident.
  *
  * Usage:
- *   cache_hierarchy [accesses=300000] [stores=0.3] [silent=0.2]
- *                   [seed=1] [mode=RWoW-RDE|Baseline|...]
+ *   cache_hierarchy [app=canneal] [insts=2000000] [seed=1]
+ *                   [mode=RWoW-RDE|Baseline|...]
  */
 
 #include <cstdio>
-#include <cstring>
 
-#include "cache/hierarchy.h"
-#include "cache/raw_stream.h"
 #include "cache/tier.h"
 #include "core/memory_system.h"
 #include "cpu/core_model.h"
 #include "sim/config.h"
-
-namespace {
-
-pcmap::SystemMode
-modeByName(const std::string &name)
-{
-    for (const pcmap::SystemMode m : pcmap::kAllModes) {
-        if (name == pcmap::systemModeName(m))
-            return m;
-    }
-    pcmap::fatal("unknown system mode '", name, "'");
-}
-
-} // namespace
+#include "workload/generator.h"
+#include "workload/profile.h"
 
 int
 main(int argc, char **argv)
@@ -43,123 +29,59 @@ main(int argc, char **argv)
     using namespace pcmap;
 
     const Config args = Config::fromArgs(argc, argv);
-
-    cache::RawStreamConfig rcfg;
-    rcfg.accesses = args.getUint("accesses", 300'000);
-    rcfg.storeFraction = args.getDouble("stores", 0.3);
-    rcfg.silentStoreFraction = args.getDouble("silent", 0.2);
-    rcfg.footprintBytes = 32ull << 20;
-    rcfg.seed = args.getUint("seed", 1);
+    const workload::AppProfile &prof =
+        workload::findProfile(args.getString("app", "canneal"));
+    const std::uint64_t insts = args.getUint("insts", 2'000'000);
+    const std::uint64_t seed = args.getUint("seed", 1);
     const SystemMode mode =
-        modeByName(args.getString("mode", "RWoW-RDE"));
+        requireSystemMode(args.getString("mode", "RWoW-RDE"));
 
-    // --- Pass 1: measure what the hierarchy condenses the stream to.
-    {
-        cache::SyntheticRawStream raw(rcfg);
-        BackingStore shadow;
-        cache::HierarchyConfig hcfg;
-        hcfg.l2 = cache::CacheConfig{1ull << 20, 8, true};    // 1 MB
-        hcfg.dramCache = cache::CacheConfig{2ull << 20, 8, true};
-        cache::HierarchySource hier(raw, shadow, hcfg);
+    EventQueue eq;
+    MemGeometry geom;
+    MainMemory memory(ControllerConfig::forMode(mode), geom, eq);
+    cache::TierConfig tcfg;
+    tcfg.sizeBytes = 2ull << 20;
+    cache::CacheTier tier(tcfg, eq, memory);
+    workload::SyntheticGenerator source(prof, memory.backingStore(),
+                                        seed);
 
-        std::array<std::uint64_t, 9> hist{};
-        std::uint64_t reads = 0;
-        std::uint64_t writes = 0;
-        MemOp op;
-        bool flushed = false;
-        while (true) {
-            if (!hier.next(op)) {
-                if (flushed)
-                    break;
-                hier.flushAll(); // drain resident dirty lines too
-                flushed = true;
-                continue;
-            }
-            if (op.isWrite) {
-                const std::uint64_t line = op.addr / kLineBytes;
-                const WordMask essential =
-                    shadow.essentialWords(line, op.data);
-                ++hist[wordCount(essential)];
-                shadow.writeWords(line, op.data, essential);
-                ++writes;
-            } else {
-                ++reads;
-            }
-        }
-        std::printf("hierarchy condensation: %llu raw accesses -> "
-                    "%llu PCM reads, %llu PCM write-backs\n",
-                    static_cast<unsigned long long>(rcfg.accesses),
-                    static_cast<unsigned long long>(reads),
-                    static_cast<unsigned long long>(writes));
-        std::printf("L2 hit rate %.1f%%, DRAM-cache hit rate %.1f%%\n",
-                    100.0 * hier.l2().stats().hitRate(),
-                    100.0 * hier.dramCache().stats().hitRate());
-        std::printf("dirty words per write-back:");
-        for (unsigned i = 0; i <= 8; ++i) {
-            std::printf(" %u:%4.1f%%", i,
-                        writes ? 100.0 *
-                                     static_cast<double>(hist[i]) /
-                                     static_cast<double>(writes)
-                               : 0.0);
-        }
-        std::printf("\n\n");
+    CoreConfig core_cfg;
+    CoreModel core(0, core_cfg, eq, tier, source, insts);
+    tier.setRetryCallback([&core] { core.onRetry(); });
+    tier.setVerifyCallback([&core](ReqId id, unsigned, bool fault) {
+        core.onVerify(id, fault);
+    });
+
+    core.start();
+    eq.run();
+    memory.finalize(eq.now());
+
+    double irlp = 0.0;
+    double span = 0.0;
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    for (unsigned ch = 0; ch < memory.channels(); ++ch) {
+        const MemoryController &mc = memory.controller(ch);
+        irlp += mc.irlpArea();
+        span += mc.irlpWindowTicks();
+        reads += mc.stats().readsCompleted;
+        writes += mc.stats().writesCompleted;
     }
-
-    // --- Pass 2: drive a core through the timed tier + PCM memory.
-    {
-        EventQueue eq;
-        MemGeometry geom;
-        MainMemory memory(ControllerConfig::forMode(mode), geom, eq);
-
-        // The DRAM cache is the timed CacheTier here, so the
-        // functional hierarchy keeps only its L2 level — the DRAM
-        // level shrinks to a single line (effectively disabled).
-        cache::TierConfig tcfg;
-        tcfg.sizeBytes = 2ull << 20;
-        cache::CacheTier tier(tcfg, eq, memory);
-
-        cache::SyntheticRawStream raw(rcfg);
-        cache::HierarchyConfig hcfg;
-        hcfg.l2 = cache::CacheConfig{1ull << 20, 8, true};
-        hcfg.dramCache = cache::CacheConfig{kLineBytes, 1, true};
-        cache::HierarchySource hier(raw, memory.backingStore(), hcfg);
-
-        CoreConfig core_cfg;
-        CoreModel core(0, core_cfg, eq, tier, hier,
-                       /*target_insts=*/rcfg.accesses * 20);
-        tier.setRetryCallback([&core] { core.onRetry(); });
-        tier.setVerifyCallback(
-            [&core](ReqId id, unsigned, bool fault) {
-                core.onVerify(id, fault);
-            });
-
-        core.start();
-        eq.run();
-        memory.finalize(eq.now());
-
-        double irlp = 0.0;
-        double span = 0.0;
-        std::uint64_t reads = 0;
-        std::uint64_t writes = 0;
-        for (unsigned ch = 0; ch < memory.channels(); ++ch) {
-            const MemoryController &mc = memory.controller(ch);
-            irlp += mc.irlpArea();
-            span += mc.irlpWindowTicks();
-            reads += mc.stats().readsCompleted;
-            writes += mc.stats().writesCompleted;
-        }
-        const cache::TierCounters &tc = tier.counters();
-        std::printf("timed run on %s through a 2 MB tier: IPC %.3f, "
-                    "IRLP %.2f\n",
-                    systemModeName(mode), core.ipc(),
-                    span > 0.0 ? irlp / span : 0.0);
-        std::printf("tier hit rate %.1f%%, %llu fills, %llu "
-                    "write-backs -> %llu PCM reads, %llu PCM writes\n",
-                    100.0 * tc.hitRate(),
-                    static_cast<unsigned long long>(tc.fills),
-                    static_cast<unsigned long long>(tc.writebacks),
-                    static_cast<unsigned long long>(reads),
-                    static_cast<unsigned long long>(writes));
-    }
+    const cache::TierCounters &tc = tier.counters();
+    std::printf("%s on %s through a 2 MB tier: IPC %.3f, IRLP %.2f\n",
+                prof.name.c_str(), systemModeName(mode), core.ipc(),
+                span > 0.0 ? irlp / span : 0.0);
+    std::printf("tier hit rate %.1f%%, %llu fills, %llu write-backs "
+                "(%.2f dirty words each) -> %llu PCM reads, %llu PCM "
+                "writes\n",
+                100.0 * tc.hitRate(),
+                static_cast<unsigned long long>(tc.fills),
+                static_cast<unsigned long long>(tc.writebacks),
+                tc.writebacks ? static_cast<double>(
+                                    tc.dirtyWordsWrittenBack) /
+                                    static_cast<double>(tc.writebacks)
+                              : 0.0,
+                static_cast<unsigned long long>(reads),
+                static_cast<unsigned long long>(writes));
     return 0;
 }

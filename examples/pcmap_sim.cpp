@@ -39,21 +39,6 @@
 #include "sim/config.h"
 #include "workload/mixes.h"
 
-namespace {
-
-pcmap::SystemMode
-modeByName(const std::string &name)
-{
-    for (const pcmap::SystemMode m : pcmap::kAllModes) {
-        if (name == pcmap::systemModeName(m))
-            return m;
-    }
-    pcmap::fatal("unknown system mode '", name,
-                 "' (try Baseline or RWoW-RDE)");
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -114,6 +99,6 @@ main(int argc, char **argv)
             run_one(m);
         return 0;
     }
-    run_one(modeByName(mode_name));
+    run_one(requireSystemMode(mode_name, {"all"}));
     return 0;
 }

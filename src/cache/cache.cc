@@ -9,6 +9,9 @@ CacheConfig::validate() const
 {
     if (sizeBytes == 0 || associativity == 0)
         fatal("cache size and associativity must be positive");
+    if (associativity > kMaxAssociativity)
+        fatal("cache associativity ", associativity, " exceeds the ",
+              kMaxAssociativity, "-way limit");
     if (sizeBytes % (static_cast<std::uint64_t>(associativity) *
                      kLineBytes) !=
         0) {
@@ -68,10 +71,9 @@ SetAssocCache::Way &
 SetAssocCache::victimFor(std::uint64_t set)
 {
     // Snapshot the per-way state the policy may rank on, then let it
-    // choose.  kMaxAssoc keeps the snapshot off the heap.
-    constexpr unsigned kMaxAssoc = 64;
-    pcmap_assert(cfg.associativity <= kMaxAssoc);
-    ReplacementPolicy::WayState views[kMaxAssoc];
+    // choose.  kMaxAssociativity keeps the snapshot off the heap.
+    pcmap_assert(cfg.associativity <= kMaxAssociativity);
+    ReplacementPolicy::WayState views[kMaxAssociativity];
     for (unsigned w = 0; w < cfg.associativity; ++w) {
         const Way &way = ways[set * cfg.associativity + w];
         views[w] = ReplacementPolicy::WayState{way.valid,
@@ -97,12 +99,7 @@ SetAssocCache::access(std::uint64_t line_addr, bool is_store,
                 if (store_mask & (1u << i))
                     way->data.w[i] = store_data->w[i];
             }
-            if (cfg.writeBack) {
-                way->dirty |= store_mask;
-            } else {
-                // Write-through: the store also goes below.
-                res.needsFill = true;
-            }
+            way->dirty |= store_mask;
         }
         return res;
     }
@@ -141,8 +138,7 @@ SetAssocCache::fill(std::uint64_t line_addr, const CacheLine &data,
             if (store_mask & (1u << i))
                 way.data.w[i] = store_data->w[i];
         }
-        if (cfg.writeBack)
-            way.dirty = store_mask;
+        way.dirty = store_mask;
     }
     return evicted;
 }

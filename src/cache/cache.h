@@ -4,10 +4,10 @@
  *
  * The paper's Section IV-A1 discusses where essential words can be
  * discovered; its option 1 is an LLC with one dirty bit per 8-byte
- * word instead of one per line.  This cache implements exactly that
- * organization (usable write-back or write-through), so the examples
- * and tests can demonstrate how raw store streams condense into the
- * few-dirty-word write-backs of Figure 2.
+ * word instead of one per line.  This write-back cache implements
+ * exactly that organization; it is the array inside the timed
+ * CacheTier, whose dirty victims carry their per-word dirty masks to
+ * the PCM side.
  */
 
 #ifndef PCMAP_CACHE_CACHE_H
@@ -23,12 +23,17 @@
 
 namespace pcmap::cache {
 
+/**
+ * Most ways one set may have: the victim search snapshots a set's
+ * ways on the stack, and CacheConfig::validate rejects wider sets.
+ */
+constexpr unsigned kMaxAssociativity = 64;
+
 /** Geometry and policy of one cache level. */
 struct CacheConfig
 {
     std::uint64_t sizeBytes = 8ull << 20; ///< 8 MB (the paper's L2).
     unsigned associativity = 8;
-    bool writeBack = true; ///< false = write-through, no dirty state.
     ReplPolicy repl = ReplPolicy::Lru;
 
     std::uint64_t numSets() const
@@ -51,12 +56,11 @@ struct Eviction
 struct AccessResult
 {
     bool hit = false;
-    /** Dirty victim pushed out by the fill (write-back caches). */
+    /** Dirty victim pushed out by the fill. */
     std::optional<Eviction> writeback;
     /**
      * On a miss, the line must be fetched from below; the caller
-     * fills it in via fill().  Present for write-through stores that
-     * must also propagate downward.
+     * fills it in via fill().
      */
     bool needsFill = false;
 };

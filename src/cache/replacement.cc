@@ -36,8 +36,8 @@ namespace {
  * Least-recently-used with a single structure-wide use counter.  The
  * counter ordering and the first-lowest tie-break reproduce the
  * original in-array implementation exactly, which is what keeps the
- * functional hierarchy (and every golden snapshot built on it)
- * byte-identical under the policy extraction.
+ * CacheTier (and every golden snapshot built on it) byte-identical
+ * under the policy extraction.
  */
 class LruPolicy final : public ReplacementPolicy
 {

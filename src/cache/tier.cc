@@ -103,6 +103,9 @@ tierConfigFromString(const std::string &text)
         std::strtoull(parts[2].c_str(), &end, 10);
     if (end == parts[2].c_str() || *end != '\0' || ways == 0)
         fatal("tier=: '", parts[2], "' is not a way count");
+    if (ways > kMaxAssociativity)
+        fatal("tier=: ", parts[2], " ways exceeds the ",
+              kMaxAssociativity, "-way limit");
     cfg.ways = static_cast<unsigned>(ways);
     cfg.repl = replPolicyFromName(parts[3]);
     cfg.validate();
@@ -121,8 +124,7 @@ tierConfigToString(const TierConfig &cfg)
 CacheTier::CacheTier(const TierConfig &config, EventQueue &eq,
                      MemoryPort &downstream)
     : ForwardingPort(downstream), cfg(config), eventq(eq),
-      array(CacheConfig{cfg.sizeBytes, cfg.ways, /*writeBack=*/true,
-                        cfg.repl})
+      array(CacheConfig{cfg.sizeBytes, cfg.ways, cfg.repl})
 {
     cfg.validate();
     mshrs.reserve(cfg.mshrCap);

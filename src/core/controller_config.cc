@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "core/policy/controller_policy.h"
+#include "sim/config.h"
 #include "sim/log.h"
 
 namespace pcmap {
@@ -52,6 +53,21 @@ systemModeFromName(const std::string &name)
             return mode;
     }
     return std::nullopt;
+}
+
+SystemMode
+requireSystemMode(const std::string &name,
+                  const std::vector<std::string> &keywords)
+{
+    if (const auto mode = systemModeFromName(name))
+        return *mode;
+    std::vector<std::string> known = keywords;
+    std::string summary = "known: " + systemModeNames();
+    for (const SystemMode m : kAllModes)
+        known.emplace_back(systemModeName(m));
+    for (const std::string &k : keywords)
+        summary += ", " + k;
+    fatalUnknown("unknown system mode", name, known, summary);
 }
 
 ControllerConfig

@@ -9,6 +9,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/layout.h"
 #include "mem/timing.h"
@@ -49,6 +50,15 @@ std::string systemModeNames();
  * spellings work.  nullopt on an unknown name.
  */
 std::optional<SystemMode> systemModeFromName(const std::string &name);
+
+/**
+ * systemModeFromName() for command lines: fatal()s on an unknown name
+ * with a "did you mean" hint.  @p keywords are the caller's extra
+ * spellings (e.g. "all"); they join the hint candidates and the list
+ * of known names, but are never returned — match them first.
+ */
+SystemMode requireSystemMode(const std::string &name,
+                             const std::vector<std::string> &keywords = {});
 
 /** All six modes in the paper's presentation order. */
 inline constexpr SystemMode kAllModes[] = {

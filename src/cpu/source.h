@@ -1,7 +1,7 @@
 /**
  * @file
  * The interface between a core and whatever produces its memory
- * traffic (synthetic generators, trace replayers, cache hierarchies).
+ * traffic (the synthetic generators).
  */
 
 #ifndef PCMAP_CPU_SOURCE_H

@@ -1,7 +1,7 @@
 /**
  * @file
  * Memory request types and the port interface between request sources
- * (cores, caches, trace replayers) and the memory controllers.
+ * (cores, tenants, the DRAM cache tier) and the memory controllers.
  */
 
 #ifndef PCMAP_MEM_REQUEST_H

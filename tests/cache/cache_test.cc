@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the set-associative cache: hits/misses, LRU, per-word
- * dirty tracking, write-backs, flush, and write-through behaviour.
+ * dirty tracking, write-backs, flush, and geometry validation.
  */
 
 #include <gtest/gtest.h>
@@ -14,13 +14,11 @@ namespace pcmap::cache {
 namespace {
 
 CacheConfig
-smallCache(unsigned assoc = 2, std::uint64_t lines = 16,
-           bool write_back = true)
+smallCache(unsigned assoc = 2, std::uint64_t lines = 16)
 {
     CacheConfig cfg;
     cfg.sizeBytes = lines * kLineBytes;
     cfg.associativity = assoc;
-    cfg.writeBack = write_back;
     return cfg;
 }
 
@@ -159,21 +157,6 @@ TEST(Cache, FlushReturnsAllDirtyLines)
         EXPECT_EQ(c.peek(line), nullptr);
 }
 
-TEST(Cache, WriteThroughNeverDirty)
-{
-    SetAssocCache c(smallCache(2, 16, /*write_back=*/false));
-    c.access(2, false);
-    c.fill(2, patternLine(2));
-    CacheLine s;
-    s.w[0] = 11;
-    const AccessResult r = c.access(2, true, 0b1, &s);
-    EXPECT_TRUE(r.hit);
-    EXPECT_TRUE(r.needsFill); // must propagate below
-    EXPECT_EQ(c.dirtyMask(2), 0u);
-    EXPECT_EQ(c.peek(2)->w[0], 11u);
-    EXPECT_TRUE(c.flush().empty());
-}
-
 TEST(Cache, ManyLinesRandomizedConsistency)
 {
     SetAssocCache c(smallCache(4, 64));
@@ -203,38 +186,6 @@ TEST(Cache, ManyLinesRandomizedConsistency)
         ASSERT_NE(c.peek(line), nullptr);
         ASSERT_EQ(*c.peek(line), sh) << "iteration " << i;
     }
-}
-
-TEST(Cache, WriteThroughEvictionCarriesNoWriteback)
-{
-    // Direct-mapped write-through: stores update the resident copy but
-    // never mark it dirty, so evicting a stored-to line must not
-    // produce a write-back (the store already propagated below).
-    SetAssocCache c(smallCache(1, 8, /*write_back=*/false));
-    c.access(0, false);
-    c.fill(0, patternLine(0));
-    CacheLine s;
-    s.w[5] = 123;
-    c.access(0, true, 0b100000, &s);
-
-    c.access(8, false);
-    const auto ev = c.fill(8, patternLine(8));
-    EXPECT_FALSE(ev.has_value());
-    EXPECT_EQ(c.stats().writebacks, 0u);
-    EXPECT_TRUE(c.flush().empty());
-}
-
-TEST(Cache, WriteThroughStoreMissStillReportsFill)
-{
-    SetAssocCache c(smallCache(2, 16, /*write_back=*/false));
-    CacheLine s;
-    s.w[1] = 77;
-    const AccessResult miss = c.access(4, true, 0b10, &s);
-    EXPECT_FALSE(miss.hit);
-    EXPECT_TRUE(miss.needsFill);
-    c.fill(4, patternLine(4), 0b10, &s);
-    EXPECT_EQ(c.peek(4)->w[1], 77u);
-    EXPECT_EQ(c.dirtyMask(4), 0u); // write-through is never dirty
 }
 
 TEST(Cache, RefillAfterDirtyEvictionStartsClean)
@@ -303,6 +254,13 @@ TEST(CacheConfigValidate, RejectsUnusableShapes)
 
     CacheConfig non_pow2_sets = smallCache(1, 12);
     EXPECT_THROW(non_pow2_sets.validate(), SimError);
+
+    // Wider than the victim search's way snapshot: a well-formed
+    // geometry that would otherwise panic at the first eviction.
+    CacheConfig too_wide = smallCache(128, 128);
+    EXPECT_THROW(too_wide.validate(), SimError);
+    EXPECT_NO_THROW(smallCache(kMaxAssociativity, kMaxAssociativity)
+                        .validate());
 
     EXPECT_NO_THROW(smallCache().validate());
 }

@@ -77,6 +77,12 @@ TEST(TierAxis, RejectsMalformedStrings)
     EXPECT_THROW(cache::tierConfigFromString("dram:1M:zero:lru"),
                  SimError);
     EXPECT_THROW(cache::tierConfigFromString("dram:1M:0:lru"), SimError);
+    // Way counts above the cache's 64-way limit, including one that
+    // would wrap to 1 in an unsigned.
+    EXPECT_THROW(cache::tierConfigFromString("dram:4M:128:lru"),
+                 SimError);
+    EXPECT_THROW(cache::tierConfigFromString("dram:4M:4294967297:lru"),
+                 SimError);
     EXPECT_THROW(cache::tierConfigFromString("dram:1M:8:plru"),
                  SimError);
 }

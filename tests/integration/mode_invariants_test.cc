@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/system.h"
@@ -15,7 +16,10 @@
 namespace pcmap {
 namespace {
 
-using GridParam = std::tuple<SystemMode, const char *>;
+// The workload is a std::string, not a const char *: gtest prints a
+// pointer parameter by address, and ctest names carry that printout, so
+// a pointer would give every build different test names.
+using GridParam = std::tuple<SystemMode, std::string>;
 
 class ModeInvariants : public ::testing::TestWithParam<GridParam>
 {
@@ -122,8 +126,10 @@ TEST_P(ModeInvariants, DeterministicReplay)
 INSTANTIATE_TEST_SUITE_P(
     Grid, ModeInvariants,
     ::testing::Combine(::testing::ValuesIn(kAllModes),
-                       ::testing::Values("MP1", "MP4", "canneal",
-                                         "freqmine")),
+                       ::testing::Values(std::string("MP1"),
+                                         std::string("MP4"),
+                                         std::string("canneal"),
+                                         std::string("freqmine"))),
     [](const ::testing::TestParamInfo<GridParam> &info) {
         std::string name = systemModeName(std::get<0>(info.param));
         name += "_";
