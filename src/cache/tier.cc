@@ -1,6 +1,7 @@
 #include "cache/tier.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <utility>
 
@@ -22,24 +23,29 @@ constexpr WordMask kAllWords =
 std::uint64_t
 parseSize(const std::string &tok)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (end == tok.c_str())
+    // strtoull would accept a sign (negating the value) and leading
+    // blanks; a size is digits only.
+    if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])))
         fatal("tier=: '", tok, "' is not a size");
-    std::uint64_t bytes = v;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
+    if (errno == ERANGE)
+        fatal("tier=: size '", tok, "' is too large");
+    unsigned shift = 0;
     switch (std::toupper(static_cast<unsigned char>(*end))) {
     case '\0':
         break;
     case 'K':
-        bytes <<= 10;
+        shift = 10;
         ++end;
         break;
     case 'M':
-        bytes <<= 20;
+        shift = 20;
         ++end;
         break;
     case 'G':
-        bytes <<= 30;
+        shift = 30;
         ++end;
         break;
     default:
@@ -48,6 +54,9 @@ parseSize(const std::string &tok)
     }
     if (*end != '\0')
         fatal("tier=: trailing characters in size '", tok, "'");
+    if (v > (~std::uint64_t{0} >> shift))
+        fatal("tier=: size '", tok, "' is too large");
+    const std::uint64_t bytes = static_cast<std::uint64_t>(v) << shift;
     if (bytes == 0)
         fatal("tier=: size must be positive");
     return bytes;

@@ -34,7 +34,7 @@ MemoryController::MemoryController(std::string name,
         ControllerPolicy::makeCoalescer(cfg, addrMap, *lineLayout, backing);
     const unsigned n_ranks = mapper.geometry().ranksPerChannel;
     for (unsigned r = 0; r < n_ranks; ++r)
-        ranks.emplace_back(cfg.banksPerRank, cfg.hasPcc());
+        ranks.emplace_back(cfg.banksPerRank, cfg.hasPcc(), &timingEpoch);
     writeSlotFreeAt.assign(n_ranks, 0);
     irlpTrackers.resize(n_ranks);
 
@@ -132,6 +132,10 @@ MemoryController::enqueueRead(const MemRequest &req, ReadCallback cb)
         return false;
     }
 
+    // One allocation per run, made by the first read rather than at
+    // construction (which a system pays per sweep point).
+    if (readQ.capacity() == 0)
+        readQ.reserve(cfg.readQueueCap);
     ReadEntry entry;
     entry.req = req;
     entry.req.enqueueTick = now;
@@ -322,7 +326,7 @@ MemoryController::kick()
             if (!draining || scheduler->servesReadsDuringDrain() ||
                 cfg.enableWriteCancellation) {
                 ReadPlan plan =
-                    scheduler->planRead(readQ, bankView, *this, now,
+                    scheduler->planRead(readQ, bankView, buses, now,
                                         immediate_only, pendingVerifies);
                 // During a drain an overlapped read must fit entirely
                 // inside the ongoing write's service window (as in
@@ -375,72 +379,6 @@ MemoryController::kick()
 // ---------------------------------------------------------------------
 // Timing helpers
 // ---------------------------------------------------------------------
-
-void
-MemoryController::computeReadWindow(ChipMask chips, unsigned bank,
-                                    std::uint64_t row, Tick lower_bound,
-                                    bool row_hit, Tick &start,
-                                    Tick &end) const
-{
-    (void)bank;
-    (void)row;
-    const Tick act = row_hit ? 0 : cfg.timing.actTicks();
-    const Tick lead = act + cfg.timing.readColTicks();
-    Tick burst_start = lower_bound + lead;
-    // Write-to-read bus turnaround.
-    burst_start = std::max(
-        burst_start, lastWriteBurstEnd + cfg.timing.turnaroundTicks());
-    // Per-chip data lanes (no lane can push past laneMaxFree).
-    if (burst_start < laneMaxFree) {
-        forEachSetBit(chips, [&](unsigned c) {
-            burst_start = std::max(burst_start, laneFreeAt[c]);
-        });
-    }
-    start = burst_start - lead;
-    end = burst_start + cfg.timing.burstTicks();
-}
-
-void
-MemoryController::computeWriteWindow(ChipMask chips, unsigned bank,
-                                     Tick lower_bound, Tick &start,
-                                     Tick &end) const
-{
-    (void)bank;
-    const Tick lead = cfg.timing.writeColTicks();
-    Tick burst_start = lower_bound + lead;
-    // Read-to-write turnaround (same penalty class as tWTR).
-    burst_start = std::max(
-        burst_start, lastReadBurstEnd + cfg.timing.turnaroundTicks());
-    if (burst_start < laneMaxFree) {
-        forEachSetBit(chips, [&](unsigned c) {
-            burst_start = std::max(burst_start, laneFreeAt[c]);
-        });
-    }
-    start = burst_start - lead;
-    // Array occupancy covers every programming round of the write
-    // (one round for SLC; the full program-and-verify train for MLC+).
-    end = burst_start + cfg.timing.burstTicks() +
-          cfg.timing.totalWritePulseTicks();
-}
-
-void
-MemoryController::occupyBuses(ChipMask chips, Tick burst_start,
-                              Tick burst_end, bool is_write,
-                              unsigned num_cmds)
-{
-    (void)burst_start; // lanes are held conservatively to burst_end
-    forEachSetBit(chips, [&](unsigned c) {
-        laneFreeAt[c] = std::max(laneFreeAt[c], burst_end);
-    });
-    if (chips)
-        laneMaxFree = std::max(laneMaxFree, burst_end);
-    if (is_write)
-        lastWriteBurstEnd = std::max(lastWriteBurstEnd, burst_end);
-    else
-        lastReadBurstEnd = std::max(lastReadBurstEnd, burst_end);
-    cmdBusFreeAt = std::max(cmdBusFreeAt, eventq.now()) +
-                   cfg.timing.cycles(num_cmds);
-}
 
 void
 MemoryController::reserveChips(unsigned rank, ChipMask chips,

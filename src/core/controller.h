@@ -41,7 +41,6 @@
 #ifndef PCMAP_CORE_CONTROLLER_H
 #define PCMAP_CORE_CONTROLLER_H
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -49,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "core/channel_buses.h"
 #include "core/controller_config.h"
 #include "core/controller_stats.h"
 #include "core/policy/access_scheduler.h"
@@ -84,7 +84,7 @@ class AttribCollector;
  * the background-operation list, and drives everything from the shared
  * event queue.
  */
-class MemoryController : private ReadWindowModel
+class MemoryController
 {
   public:
     using ReadCallback = MemoryPort::ReadCallback;
@@ -220,25 +220,6 @@ class MemoryController : private ReadWindowModel
     void tryIssueBgOps(Tick now);
 
     // --- Timing helpers ---
-    /**
-     * Earliest feasible [start, end) of an array read transaction on
-     * @p chips at (@p bank, @p row), honouring chip, lane, command-bus
-     * and turnaround constraints from @p lower_bound.  Overrides the
-     * ReadWindowModel interface the access scheduler plans through.
-     */
-    void computeReadWindow(ChipMask chips, unsigned bank,
-                           std::uint64_t row, Tick lower_bound,
-                           bool row_hit, Tick &start,
-                           Tick &end) const override;
-    /** Same for a write transaction (column write + burst + pulse). */
-    void computeWriteWindow(ChipMask chips, unsigned bank, Tick lower_bound,
-                            Tick &start, Tick &end) const;
-    /** Mutable rank state for @p rank. */
-    Rank &rankState(unsigned rank) { return ranks[rank]; }
-    /** Commit bus/lane occupancy for an issued transaction. */
-    void occupyBuses(ChipMask chips, Tick burst_start, Tick burst_end,
-                     bool is_write, unsigned num_cmds);
-
     /** Reserve every chip in @p chips for [start, end). */
     void reserveChips(unsigned rank, ChipMask chips, unsigned bank,
                       std::uint64_t row, Tick start, Tick end,
@@ -280,9 +261,6 @@ class MemoryController : private ReadWindowModel
     void queuePreset(std::uint64_t line_addr, unsigned rank,
                      unsigned bank, std::uint64_t row);
 
-    /** True when some queued read targets @p bank of @p rank. */
-    bool readWantsBank(unsigned rank, unsigned bank) const;
-
     /** True when a queued read needs any of @p chips there. */
     bool readWantsChips(unsigned rank, unsigned bank,
                         ChipMask chips) const;
@@ -301,15 +279,16 @@ class MemoryController : private ReadWindowModel
     std::unique_ptr<WriteCoalescer> coalescer;
 
     // --- Timing state ---
+    /**
+     * Bumped by every mutation of ranks or buses: the scheduler keeps
+     * each queued read's plan while it holds still (DESIGN.md §9).
+     */
+    std::uint64_t timingEpoch = 0;
     std::vector<Rank> ranks;
     /** Read-only facade the policies plan over (aliases ranks). */
-    BankStateView bankView{ranks};
-    std::array<Tick, kChipsPerRank> laneFreeAt{};
-    /** max over laneFreeAt: a burst at or past it skips the lane walk. */
-    Tick laneMaxFree = 0;
-    Tick cmdBusFreeAt = 0;
-    Tick lastReadBurstEnd = 0;
-    Tick lastWriteBurstEnd = 0;
+    BankStateView bankView{ranks, timingEpoch};
+    /** Lanes, command bus and turnaround; the scheduler's windows. */
+    ChannelBuses buses{cfg.timing, timingEpoch};
     /** One write group in service per rank. */
     std::vector<Tick> writeSlotFreeAt;
 

@@ -101,12 +101,13 @@ MemoryController::tryIssueBgOps(Tick now)
         const Tick free_at =
             ranks[op.rank].freeAt(op.chips, op.bank);
         // Yield only to reads that actually need these chips, and not
-        // while draining (reads are held back then anyway).
-        const bool yields =
-            !draining && readWantsChips(op.rank, op.bank, op.chips);
+        // while draining (reads are held back then anyway).  The read
+        // queue scan runs only when its answer decides.
         Tick start;
         bool forced = false;
-        if (free_at <= now && (aged || !yields)) {
+        if (free_at <= now &&
+            (aged || draining ||
+             !readWantsChips(op.rank, op.bank, op.chips))) {
             start = now;
         } else if (aged) {
             start = free_at; // force foreground after starvation

@@ -54,8 +54,7 @@ MemoryController::issueRead(const ReadPlan &plan)
         num_cmds += static_cast<unsigned>(cfg.timing.tStatus);
         ++counters.statusPolls;
     }
-    occupyBuses(plan.chips, plan.end - cfg.timing.burstTicks(), plan.end,
-                false, num_cmds);
+    buses.occupy(plan.chips, plan.end, false, num_cmds, now);
     irlpTrackers[loc.rank].addOp(now, plan.start, plan.end,
                                  plan.chips & data_mask, false);
 
@@ -78,7 +77,7 @@ MemoryController::issueRead(const ReadPlan &plan)
     counters.queueResidencyHist.sample(plan.start -
                                        entry.req.enqueueTick);
 
-    const bool delayed = entry.delayedByWrite || plan.delayedByWrite;
+    const bool delayed = entry.delayedByWrite;
     if (trace != nullptr) {
         const std::uint64_t flags =
             (plan.rowHit ? obs::kReadFlagRowHit : 0) |
@@ -89,21 +88,18 @@ MemoryController::issueRead(const ReadPlan &plan)
         trace->record(obs::TracePoint::ReadIssue, plan.start,
                       plan.end - plan.start, entry.req.id, plan.chips,
                       flags, channelId, loc.rank, loc.bank);
-        unsigned busy_lanes = 0;
-        for (unsigned c = 0; c < kChipsPerRank; ++c) {
-            if (laneFreeAt[c] > now)
-                ++busy_lanes;
-        }
         trace->record(obs::TracePoint::LaneOccupancy, now, 0, 0,
-                      busy_lanes, 0, channelId);
+                      buses.busyLanes(now), 0, channelId);
     }
     notifyRetry(); // read-queue space freed
 
     ++inFlight;
     ReadPlan plan_copy = plan;
-    eventq.schedule(plan.end, [this, plan = plan_copy,
-                               entry = std::move(entry), loc,
-                               line, delayed]() mutable {
+    // The completion needs only the request and its callback, not
+    // the scheduler's per-entry state.
+    eventq.schedule(plan.end, [this, plan = plan_copy, req = entry.req,
+                               cb = std::move(entry.cb), loc, line,
+                               delayed]() mutable {
         const Tick done = eventq.now();
         const StoredLine &stored = backing.read(line);
         CacheLine out;
@@ -112,9 +108,9 @@ MemoryController::issueRead(const ReadPlan &plan)
             plan.eccDeferred, out);
 
         ReadResponse resp;
-        resp.id = entry.req.id;
-        resp.addr = entry.req.addr;
-        resp.coreId = entry.req.coreId;
+        resp.id = req.id;
+        resp.addr = req.addr;
+        resp.coreId = req.coreId;
         resp.completionTick = done;
         resp.data = out;
         resp.speculative = plan.speculative;
@@ -122,11 +118,10 @@ MemoryController::issueRead(const ReadPlan &plan)
         ++counters.readsCompleted;
         if (delayed)
             ++counters.readsDelayedByWrite;
-        const double lat =
-            static_cast<double>(done - entry.req.enqueueTick);
+        const double lat = static_cast<double>(done - req.enqueueTick);
         counters.readLatencySum += lat;
         counters.readLatencyMax = std::max(counters.readLatencyMax, lat);
-        counters.readLatencyHist.sample(done - entry.req.enqueueTick);
+        counters.readLatencyHist.sample(done - req.enqueueTick);
         if (trace != nullptr) {
             const std::uint64_t flags =
                 (plan.rowHit ? obs::kReadFlagRowHit : 0) |
@@ -134,13 +129,12 @@ MemoryController::issueRead(const ReadPlan &plan)
                 (plan.reconstruct ? obs::kReadFlagReconstruct : 0) |
                 (plan.eccDeferred ? obs::kReadFlagEccDeferred : 0) |
                 (delayed ? obs::kReadFlagDelayedByWrite : 0);
-            trace->record(obs::TracePoint::ReadComplete,
-                          entry.req.enqueueTick,
-                          done - entry.req.enqueueTick, entry.req.id,
-                          flags, 0, channelId, loc.rank, loc.bank);
+            trace->record(obs::TracePoint::ReadComplete, req.enqueueTick,
+                          done - req.enqueueTick, req.id, flags, 0,
+                          channelId, loc.rank, loc.bank);
         }
 
-        if (obs::attrib::PhaseLedger *led = entry.req.ledger) {
+        if (obs::attrib::PhaseLedger *led = req.ledger) {
             led->account(obs::attrib::Phase::ArrayAccess, done);
             // A speculative read completes now but its attribution
             // waits for the deferred verify verdict (annex phases).
@@ -150,10 +144,10 @@ MemoryController::issueRead(const ReadPlan &plan)
         }
 
         if (plan.speculative)
-            queueVerifyOp(plan, entry.req, loc, fault);
+            queueVerifyOp(plan, req, loc, fault);
 
         --inFlight;
-        entry.cb(resp);
+        cb(resp);
         kick();
     });
 }
@@ -214,16 +208,6 @@ MemoryController::queueVerifyOp(const ReadPlan &plan, const MemRequest &req,
         return;
     }
     bgOps.push_back(std::move(op));
-}
-
-bool
-MemoryController::readWantsBank(unsigned rank, unsigned bank) const
-{
-    for (const ReadEntry &r : readQ) {
-        if (r.loc.rank == rank && r.loc.bank == bank)
-            return true;
-    }
-    return false;
 }
 
 bool

@@ -197,7 +197,7 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
             std::max(now, ranks[loc.rank].freeAt(chips, loc.bank));
         Tick s = 0;
         Tick e = 0;
-        computeWriteWindow(chips, loc.bank, lower, s, e);
+        buses.computeWriteWindow(chips, lower, s, e);
         // A round-boundary cancellation kept head.roundsDone rounds in
         // the array; the re-issued write programs only the remainder.
         if (head.roundsDone > 0)
@@ -219,11 +219,10 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
                 cfg.timing.writeRounds - head.roundsDone;
         }
         reserveChips(loc.rank, chips, loc.bank, loc.row, s, e, true);
-        occupyBuses(chips,
-                    s + cfg.timing.writeColTicks(),
-                    s + cfg.timing.writeColTicks() +
-                        cfg.timing.burstTicks(),
-                    true, 2);
+        buses.occupy(chips,
+                     s + cfg.timing.writeColTicks() +
+                         cfg.timing.burstTicks(),
+                     true, 2, eventq.now());
         const ChipMask busy_data =
             lineLayout->chipsForWords(line, essential);
         irlpTrackers[loc.rank].addOp(now, s, e, busy_data, true);
@@ -297,12 +296,12 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
             std::max(now, ranks[w_rank].freeAt(first, bank));
         Tick s0 = 0;
         Tick e0 = 0;
-        computeWriteWindow(first, bank, lower, s0, e0);
+        buses.computeWriteWindow(first, lower, s0, e0);
         reserveChips(w_rank, first, bank, row, s0, e0, true);
-        occupyBuses(first, s0 + cfg.timing.writeColTicks(),
-                    s0 + cfg.timing.writeColTicks() +
-                        cfg.timing.burstTicks(),
-                    true, num_cmds + 2);
+        buses.occupy(first,
+                     s0 + cfg.timing.writeColTicks() +
+                         cfg.timing.burstTicks(),
+                     true, num_cmds + 2, eventq.now());
         irlpTrackers[w_rank].addOp(
             now, s0, e0, static_cast<ChipMask>(1u << step_chips[0]),
             true);
@@ -342,12 +341,12 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
                 std::max(t0, ranks[w_rank].freeAt(chips, bank));
             Tick s1 = 0;
             Tick e1 = 0;
-            computeWriteWindow(chips, bank, lower2, s1, e1);
+            buses.computeWriteWindow(chips, lower2, s1, e1);
             reserveChips(w_rank, chips, bank, row, s1, e1, true);
-            occupyBuses(chips, s1 + cfg.timing.writeColTicks(),
-                        s1 + cfg.timing.writeColTicks() +
-                            cfg.timing.burstTicks(),
-                        true, 2);
+            buses.occupy(chips,
+                         s1 + cfg.timing.writeColTicks() +
+                             cfg.timing.burstTicks(),
+                         true, 2, eventq.now());
             irlpTrackers[w_rank].addOp(t0, s1, e1, is_pcc ? 0 : chips,
                                        true);
             if (is_pcc) {
@@ -399,13 +398,12 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
             std::max(now, ranks[loc.rank].freeAt(step1, loc.bank));
         Tick s1 = 0;
         Tick e1 = 0;
-        computeWriteWindow(step1, loc.bank, lower, s1, e1);
+        buses.computeWriteWindow(step1, lower, s1, e1);
         reserveChips(loc.rank, step1, loc.bank, loc.row, s1, e1, true);
-        occupyBuses(step1,
-                    s1 + cfg.timing.writeColTicks(),
-                    s1 + cfg.timing.writeColTicks() +
-                        cfg.timing.burstTicks(),
-                    true, num_cmds + 2);
+        buses.occupy(step1,
+                     s1 + cfg.timing.writeColTicks() +
+                         cfg.timing.burstTicks(),
+                     true, num_cmds + 2, eventq.now());
 
         // Step 2 (the PCC update) must leave the PCC chip *free*
         // during step 1 so concurrent RoW reads can use it for
@@ -424,13 +422,12 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
                 std::max(t0, ranks[w_rank].freeAt(step2, bank));
             Tick s2 = 0;
             Tick e2 = 0;
-            computeWriteWindow(step2, bank, lower2, s2, e2);
+            buses.computeWriteWindow(step2, lower2, s2, e2);
             reserveChips(w_rank, step2, bank, row, s2, e2, true);
-            occupyBuses(step2,
-                        s2 + cfg.timing.writeColTicks(),
-                        s2 + cfg.timing.writeColTicks() +
-                            cfg.timing.burstTicks(),
-                        true, 2);
+            buses.occupy(step2,
+                         s2 + cfg.timing.writeColTicks() +
+                             cfg.timing.burstTicks(),
+                         true, 2, eventq.now());
             irlpTrackers[w_rank].addOp(t0, s2, e2, 0, true);
             eventq.schedule(e2, [this]() {
                 --inFlight;
@@ -475,7 +472,7 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
         std::max(now, ranks[loc.rank].freeAt(data_chips, loc.bank));
     Tick s = 0;
     Tick e = 0;
-    computeWriteWindow(data_chips, loc.bank, lower, s, e);
+    buses.computeWriteWindow(data_chips, lower, s, e);
 
     coalescer->collect(writeQ, loc.rank, loc.bank, s, bankView, group,
                        occupied, num_cmds, counters);
@@ -530,10 +527,10 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
         queueCodeUpdates(m.line, loc.rank, loc.bank, m.row, true, true,
                          now);
     }
-    occupyBuses(occupied,
-                s + cfg.timing.writeColTicks(),
-                s + cfg.timing.writeColTicks() + cfg.timing.burstTicks(),
-                true, num_cmds);
+    buses.occupy(occupied,
+                 s + cfg.timing.writeColTicks() +
+                     cfg.timing.burstTicks(),
+                 true, num_cmds, eventq.now());
     if (group.size() > 1) {
         ++counters.wowGroups;
         counters.wowMergedWrites += group.size() - 1;

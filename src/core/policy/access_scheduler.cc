@@ -1,6 +1,7 @@
 #include "core/policy/access_scheduler.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/trace.h"
 #include "sim/log.h"
@@ -59,167 +60,176 @@ FrFcfsScheduler::planRead(ReadQueue &read_queue,
                           bool immediate_only,
                           unsigned pending_verifies) const
 {
-    ReadPlan best;
-
-    // Whether blocked entries get speculative plans at all this pass;
-    // hoisted so the scan can prune around it.
+    // Whether blocked entries get speculative plans at all this pass.
     const bool spec_capable =
         speculates() && pending_verifies < cfg.specReadBufferCap;
+    const std::uint64_t epoch = banks.epoch();
 
     // Strict FCFS considers only the oldest read.
     const std::size_t scan_limit =
         cfg.readScheduling == ReadScheduling::Fcfs
             ? std::min<std::size_t>(1, read_queue.size())
             : read_queue.size();
+    std::size_t best = scan_limit;
+    Tick best_start = kTickMax;
+    bool best_row_hit = false;
     for (std::size_t i = 0; i < scan_limit; ++i) {
         ReadEntry &entry = read_queue[i];
-        const DecodedAddr &loc = entry.loc;
-        const std::uint64_t line = entry.line;
-        const ChipMask data_mask = entry.dataMask;
-        const unsigned ecc_chip = entry.eccChip;
-        const ChipMask inline_mask = entry.inlineMask;
-
-        // Chip availability, clamped to now (the exact value is only
-        // ever consumed clamped).  The per-bank ceiling settles the
-        // common all-free case with one compare instead of a walk
-        // over the mask.
-        const Tick free_at =
-            banks.busyCeiling(loc.rank, loc.bank) <= now
-                ? now
-                : std::max(now, banks.freeAt(loc.rank, inline_mask,
-                                             loc.bank));
-        const bool blocked = free_at > now;
-
-        bool delayed_by_write = false;
-        if (blocked) {
-            // Blocked: is a write responsible?
-            for (ChipMask m = inline_mask; m != 0 && !delayed_by_write;
-                 m = static_cast<ChipMask>(m & (m - 1))) {
-                const unsigned c =
-                    static_cast<unsigned>(std::countr_zero(m));
-                const ChipBankState &s =
-                    banks.state(loc.rank, c, loc.bank);
-                if (s.busyUntil > now && s.busyWithWrite) {
-                    entry.delayedByWrite = true;
-                    delayed_by_write = true;
-                }
-            }
+        const PlanRecord &rec = entry.record;
+        if (rec.epoch != epoch || rec.specCapable != spec_capable ||
+            now >= rec.expireAt)
+            replan(entry, banks, windows, now, spec_capable);
+        const ReadPlan &plan = rec.plan;
+        if (plan.speculative) {
+            // A speculative plan is logged on every pass it is on
+            // offer, so one request may log several SpecPlan events;
+            // the issue event is the authoritative one.
+            PCMAP_OBS_TRACE(traceRec, obs::TracePoint::SpecPlan, now, 0,
+                            entry.req.id, plan.chips,
+                            (plan.reconstruct ? obs::kReadFlagReconstruct
+                                              : 0) |
+                                (plan.eccDeferred
+                                     ? obs::kReadFlagEccDeferred
+                                     : 0),
+                            traceChannel, entry.loc.rank,
+                            entry.loc.bank);
         }
 
-        const bool spec_here = blocked && spec_capable;
-
-        // Dominance prune: computeReadWindow never reports a start
-        // before its lower bound, so once some plan starts at or
-        // before free_at (winning the row-hit tiebreak), this entry's
-        // normal plan cannot displace it.  Exact only when no
-        // speculative plan will be consulted — those read around the
-        // busy chip and may start earlier than free_at.
-        if (!spec_here && best.feasible &&
-            (free_at > best.start ||
-             (free_at == best.start && best.rowHit)))
-            continue;
-
-        // --- Normal (coarse) plan: all data chips plus ECC inline ---
-        ReadPlan normal;
-        normal.feasible = true;
-        normal.index = i;
-        normal.rank = loc.rank;
-        normal.delayedByWrite = delayed_by_write;
-        normal.rowHit =
-            banks.rowOpenAll(loc.rank, inline_mask, loc.bank, loc.row);
-        windows.computeReadWindow(inline_mask, loc.bank, loc.row,
-                                  free_at, normal.rowHit, normal.start,
-                                  normal.end);
-        normal.chips = inline_mask;
-
-        ReadPlan candidate = normal;
-
-        // --- Speculative plans (PCMap RoW machinery) ---
-        if (spec_here) {
-            considerSpeculative(entry, i, loc, line, data_mask, ecc_chip,
-                                banks, windows, now, candidate);
+        // Keep the globally best plan: earliest start, then row-buffer
+        // hit, then age (scan order).  Within one entry a speculative
+        // plan replaced the normal one only by starting earlier.
+        const Tick start = std::max(now, plan.start);
+        if (best == scan_limit || start < best_start ||
+            (start == best_start && plan.rowHit && !best_row_hit)) {
+            best = i;
+            best_start = start;
+            best_row_hit = plan.rowHit;
         }
-
-        // Keep the globally best candidate: earliest start, then
-        // row-buffer hit, then age (scan order), then non-speculative.
-        const bool better =
-            !best.feasible || candidate.start < best.start ||
-            (candidate.start == best.start && candidate.rowHit &&
-             !best.rowHit);
-        if (better)
-            best = candidate;
     }
 
-    if (immediate_only && best.feasible && best.start > now)
-        best.feasible = false;
-    return best;
+    if (best == scan_limit || (immediate_only && best_start > now))
+        return ReadPlan{};
+    const PlanRecord &rec = read_queue[best].record;
+    ReadPlan plan = rec.plan;
+    plan.index = best;
+    plan.start = best_start;
+    plan.end = rec.plan.end + (best_start - rec.plan.start);
+    return plan;
+}
+
+void
+FrFcfsScheduler::replan(ReadEntry &entry, const BankStateView &banks,
+                        const ReadWindowModel &windows, Tick now,
+                        bool spec_capable) const
+{
+    const DecodedAddr &loc = entry.loc;
+    const ChipMask inline_mask = entry.inlineMask;
+
+    // Chip availability; a value at or below now acts like 0, since
+    // starts are clamped to now.  The per-bank ceiling settles the
+    // common all-free case with one compare instead of a walk over
+    // the mask.
+    const Tick free_at =
+        banks.busyCeiling(loc.rank, loc.bank) <= now
+            ? 0
+            : banks.freeAt(loc.rank, inline_mask, loc.bank);
+    const bool blocked = free_at > now;
+
+    if (blocked && !entry.delayedByWrite) {
+        // Blocked: is a write responsible?  Checking when the record
+        // is made suffices: the mark is sticky, and busy chips only
+        // free up while the epoch holds, so a write that holds the
+        // read up at a later pass held it up now as well.
+        for (ChipMask m = inline_mask; m != 0;
+             m = static_cast<ChipMask>(m & (m - 1))) {
+            const unsigned c = static_cast<unsigned>(std::countr_zero(m));
+            const ChipBankState &s = banks.state(loc.rank, c, loc.bank);
+            if (s.busyUntil > now && s.busyWithWrite) {
+                entry.delayedByWrite = true;
+                break;
+            }
+        }
+    }
+
+    // --- Normal (coarse) plan: all data chips plus ECC inline ---
+    ReadPlan plan;
+    plan.feasible = true;
+    plan.rank = loc.rank;
+    plan.chips = inline_mask;
+    plan.rowHit =
+        banks.rowOpenAll(loc.rank, inline_mask, loc.bank, loc.row);
+    windows.computeReadWindow(inline_mask, loc.bank, loc.row, free_at,
+                              plan.rowHit, plan.start, plan.end);
+
+    // --- Speculative plans (PCMap RoW machinery) ---
+    // They read around the chips busy at now, so they hold only until
+    // the bank's busy set next changes; every other plan holds for the
+    // whole epoch.
+    const bool spec_here = blocked && spec_capable;
+    if (spec_here)
+        considerSpeculative(entry, banks, windows, now, plan);
+
+    PlanRecord &rec = entry.record;
+    rec.plan = plan;
+    rec.epoch = banks.epoch();
+    rec.specCapable = spec_capable;
+    rec.expireAt = spec_here
+                       ? banks.nextBusyChange(loc.rank, loc.bank, now)
+                       : kTickMax;
 }
 
 void
 RowScheduler::considerSpeculative(const ReadEntry &entry,
-                                  std::size_t index,
-                                  const DecodedAddr &loc,
-                                  std::uint64_t line, ChipMask data_mask,
-                                  unsigned ecc_chip,
                                   const BankStateView &banks,
                                   const ReadWindowModel &windows,
                                   Tick now, ReadPlan &candidate) const
 {
+    const DecodedAddr &loc = entry.loc;
+    const ChipMask data_mask = entry.dataMask;
+    const unsigned ecc_chip = entry.eccChip;
     const ChipMask busy = banks.busyChips(loc.rank, loc.bank, now);
     const ChipMask busy_data = busy & data_mask;
     const bool ecc_busy = (busy >> ecc_chip) & 1u;
 
+    // Both plans below read only chips free at now, so their windows
+    // are taken from lower bound 0 (see PlanRecord).
     if (busy_data == 0 && ecc_busy) {
         // Data chips free; only the ECC check must wait.
         // Deliver speculatively, defer the check.
         ReadPlan spec;
         spec.feasible = true;
-        spec.index = index;
         spec.rank = loc.rank;
         spec.chips = data_mask;
         spec.speculative = true;
         spec.eccDeferred = true;
         spec.rowHit =
             banks.rowOpenAll(loc.rank, data_mask, loc.bank, loc.row);
-        windows.computeReadWindow(
-            data_mask, loc.bank, loc.row,
-            std::max(now, banks.freeAt(loc.rank, data_mask, loc.bank)),
-            spec.rowHit, spec.start, spec.end);
-        if (spec.start < candidate.start) {
+        windows.computeReadWindow(data_mask, loc.bank, loc.row, 0,
+                                  spec.rowHit, spec.start, spec.end);
+        if (spec.start < candidate.start)
             candidate = spec;
-            // Planning repeats per kick until the entry issues, so the
-            // same request may log several SpecPlan events; the issue
-            // event is the authoritative one.
-            PCMAP_OBS_TRACE(traceRec, obs::TracePoint::SpecPlan, now, 0,
-                            entry.req.id, data_mask,
-                            obs::kReadFlagEccDeferred, traceChannel,
-                            loc.rank, loc.bank);
-        }
     } else if (chipCount(busy_data) == 1) {
-        // Exactly one data chip busy with a write: RoW.
-        unsigned busy_chip = 0;
-        while (!((busy_data >> busy_chip) & 1u))
-            ++busy_chip;
+        // Exactly one data chip busy with a write: RoW.  The other
+        // data chips are free by construction of busy_data.
+        const unsigned busy_chip =
+            static_cast<unsigned>(std::countr_zero(busy_data));
         const ChipMask write_busy =
             banks.busyWriteChips(loc.rank, loc.bank, now);
         const unsigned pcc_chip = entry.pccChip;
         pcmap_assert(pcc_chip != kNoWord);
         const bool pcc_busy = (busy >> pcc_chip) & 1u;
-        const ChipMask others =
-            data_mask & static_cast<ChipMask>(~busy_data);
-        if (((write_busy >> busy_chip) & 1u) && !pcc_busy &&
-            banks.freeAt(loc.rank, others, loc.bank) <= now) {
+        if (((write_busy >> busy_chip) & 1u) && !pcc_busy) {
             ReadPlan row_plan;
             row_plan.feasible = true;
-            row_plan.index = index;
             row_plan.rank = loc.rank;
             row_plan.reconstruct = true;
             row_plan.speculative = true;
             row_plan.busyChip = busy_chip;
-            row_plan.missingWord = layout.wordForChip(line, busy_chip);
+            row_plan.missingWord =
+                layout.wordForChip(entry.line, busy_chip);
             pcmap_assert(row_plan.missingWord != kNoWord);
-            ChipMask chips =
-                others | static_cast<ChipMask>(1u << pcc_chip);
+            ChipMask chips = (data_mask & static_cast<ChipMask>(~busy_data)) |
+                             static_cast<ChipMask>(1u << pcc_chip);
             if (!ecc_busy) {
                 chips |= static_cast<ChipMask>(1u << ecc_chip);
             } else {
@@ -228,19 +238,11 @@ RowScheduler::considerSpeculative(const ReadEntry &entry,
             row_plan.chips = chips;
             row_plan.rowHit =
                 banks.rowOpenAll(loc.rank, chips, loc.bank, loc.row);
-            windows.computeReadWindow(chips, loc.bank, loc.row, now,
+            windows.computeReadWindow(chips, loc.bank, loc.row, 0,
                                       row_plan.rowHit, row_plan.start,
                                       row_plan.end);
-            if (row_plan.start < candidate.start) {
+            if (row_plan.start < candidate.start)
                 candidate = row_plan;
-                PCMAP_OBS_TRACE(traceRec, obs::TracePoint::SpecPlan,
-                                now, 0, entry.req.id, chips,
-                                obs::kReadFlagReconstruct |
-                                    (row_plan.eccDeferred
-                                         ? obs::kReadFlagEccDeferred
-                                         : 0),
-                                traceChannel, loc.rank, loc.bank);
-            }
         }
     }
 }

@@ -25,7 +25,6 @@
 #define PCMAP_CORE_POLICY_ACCESS_SCHEDULER_H
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -38,39 +37,6 @@
 #include "sim/types.h"
 
 namespace pcmap {
-
-/** One queued read awaiting service. */
-struct ReadEntry
-{
-    MemRequest req;
-    MemoryPort::ReadCallback cb;
-    bool delayedByWrite = false;
-
-    // Address-derived invariants, primed once at enqueue.  The
-    // scheduler re-scans the whole queue on every kick, so deriving
-    // these per scan (a decode plus two virtual layout queries per
-    // entry) dominates planning cost on long queues.
-    DecodedAddr loc;
-    std::uint64_t line = 0;
-    ChipMask dataMask = 0;   ///< chips holding the 8 data words
-    ChipMask inlineMask = 0; ///< dataMask plus the ECC chip
-    unsigned eccChip = 0;
-    unsigned pccChip = kNoWord; ///< kNoWord on a rank without PCC
-
-    /** Fill the cached fields from req.addr; call once at enqueue. */
-    void
-    prime(const AddressMapper &map, const LineLayout &ll)
-    {
-        loc = map.decode(req.addr);
-        line = map.lineAddr(req.addr);
-        dataMask = ll.dataChips(line);
-        eccChip = ll.eccChip(line);
-        inlineMask = dataMask | static_cast<ChipMask>(1u << eccChip);
-        pccChip = ll.hasPcc() ? ll.pccChip(line) : kNoWord;
-    }
-};
-
-using ReadQueue = std::deque<ReadEntry>;
 
 /** Candidate plan for issuing one read. */
 struct ReadPlan
@@ -87,14 +53,73 @@ struct ReadPlan
     unsigned missingWord = kNoWord;
     unsigned busyChip = kNoWord;
     bool eccDeferred = false;///< ECC chip not read inline
-    bool delayedByWrite = false;
 };
+
+/**
+ * A queued read's last plan, kept across planning passes while the
+ * channel's timing state holds still (see FrFcfsScheduler::planRead).
+ */
+struct PlanRecord
+{
+    static constexpr std::uint64_t kNoEpoch = ~0ull;
+
+    /**
+     * The plan with a now-independent start: at any tick the record
+     * is valid, the read starts at max(now, plan.start) and ends as
+     * much later than plan.end.
+     */
+    ReadPlan plan;
+    std::uint64_t epoch = kNoEpoch; ///< timing epoch planned in
+    Tick expireAt = 0;        ///< re-plan from this tick on
+    bool specCapable = false; ///< spec buffer had room when planned
+};
+
+/** One queued read awaiting service. */
+struct ReadEntry
+{
+    MemRequest req;
+    MemoryPort::ReadCallback cb;
+    bool delayedByWrite = false;
+
+    // Address-derived invariants, primed once at enqueue, so that
+    // re-planning an entry costs no decode or virtual layout query.
+    DecodedAddr loc;
+    std::uint64_t line = 0;
+    ChipMask dataMask = 0;   ///< chips holding the 8 data words
+    ChipMask inlineMask = 0; ///< dataMask plus the ECC chip
+    unsigned eccChip = 0;
+    unsigned pccChip = kNoWord; ///< kNoWord on a rank without PCC
+
+    /** The scheduler's plan for this entry (reset = none yet). */
+    PlanRecord record;
+
+    /** Fill the cached fields from req.addr; call once at enqueue. */
+    void
+    prime(const AddressMapper &map, const LineLayout &ll)
+    {
+        loc = map.decode(req.addr);
+        line = map.lineAddr(req.addr);
+        dataMask = ll.dataChips(line);
+        eccChip = ll.eccChip(line);
+        inlineMask = dataMask | static_cast<ChipMask>(1u << eccChip);
+        pccChip = ll.hasPcc() ? ll.pccChip(line) : kNoWord;
+    }
+};
+
+/**
+ * Bounded by readQueueCap, so the controller reserves it once: a
+ * contiguous buffer, where a deque would allocate a node per entry
+ * (an entry is larger than half of a deque's 512-byte node).
+ */
+using ReadQueue = std::vector<ReadEntry>;
 
 /**
  * Window arithmetic the controller lends to its scheduler: the
  * earliest feasible [start, end) of an array read on @p chips,
- * honouring lane, command-bus and turnaround state only the
- * controller tracks.
+ * honouring the lane and turnaround state of the channel's buses
+ * (ChannelBuses), which only the controller mutates.  The scheduler
+ * relies on its shape: start is max(lower_bound, the start at lower
+ * bound 0), and end - start does not depend on lower_bound.
  */
 class ReadWindowModel
 {
@@ -125,8 +150,8 @@ class AccessScheduler
 
     /**
      * Plan the best read to issue; mutates only the entries'
-     * delayedByWrite marks.  With @p immediate_only, plans that
-     * cannot start at @p now are reported infeasible.
+     * delayedByWrite marks and plan records.  With @p immediate_only,
+     * plans that cannot start at @p now are reported infeasible.
      */
     virtual ReadPlan planRead(ReadQueue &read_queue,
                               const BankStateView &banks,
@@ -187,6 +212,15 @@ class FrFcfsScheduler : public AccessScheduler
 
     const char *name() const override { return "frfcfs"; }
 
+    /**
+     * Keeps each entry's plan in its PlanRecord and re-plans only the
+     * entries whose record is stale: planned in another timing epoch
+     * or with the other spec-buffer capability, or blocked and
+     * speculating past the next change of their bank's busy chips.
+     * Every other plan depends on now only through max(now, start),
+     * so a pass over valid records picks exactly the plan a full
+     * re-plan would.
+     */
     ReadPlan planRead(ReadQueue &read_queue, const BankStateView &banks,
                       const ReadWindowModel &windows, Tick now,
                       bool immediate_only,
@@ -195,35 +229,34 @@ class FrFcfsScheduler : public AccessScheduler
   protected:
     /**
      * Does considerSpeculative ever produce a plan?  When it cannot,
-     * planRead prunes normal plans that provably lose to the running
-     * best (their window's lower bound already starts too late).
+     * blocked entries keep their plan until the timing state changes.
      */
     virtual bool speculates() const { return false; }
 
     /**
-     * Hook invoked per scanned read whose inline chips are blocked
-     * (and while speculative buffer entries remain): a subclass may
-     * offer a cheaper speculative plan to replace @p candidate.
+     * Hook invoked when re-planning a read whose inline chips are
+     * blocked at @p now (while speculative buffer entries remain): a
+     * subclass may offer a speculative plan to replace @p candidate.
+     * Plans carry now-independent starts (see PlanRecord); the
+     * candidate is blocked, so its start is above @p now.
      */
     virtual void
-    considerSpeculative(const ReadEntry &entry, std::size_t index,
-                        const DecodedAddr &loc, std::uint64_t line,
-                        ChipMask data_mask, unsigned ecc_chip,
-                        const BankStateView &banks,
+    considerSpeculative(const ReadEntry &entry, const BankStateView &banks,
                         const ReadWindowModel &windows, Tick now,
                         ReadPlan &candidate) const
     {
         (void)entry;
-        (void)index;
-        (void)loc;
-        (void)line;
-        (void)data_mask;
-        (void)ecc_chip;
         (void)banks;
         (void)windows;
         (void)now;
         (void)candidate;
     }
+
+  private:
+    /** Recompute @p entry's PlanRecord at @p now. */
+    void replan(ReadEntry &entry, const BankStateView &banks,
+                const ReadWindowModel &windows, Tick now,
+                bool spec_capable) const;
 };
 
 /**
@@ -249,9 +282,7 @@ class RowScheduler final : public FrFcfsScheduler
   protected:
     bool speculates() const override { return true; }
 
-    void considerSpeculative(const ReadEntry &entry, std::size_t index,
-                             const DecodedAddr &loc, std::uint64_t line,
-                             ChipMask data_mask, unsigned ecc_chip,
+    void considerSpeculative(const ReadEntry &entry,
                              const BankStateView &banks,
                              const ReadWindowModel &windows, Tick now,
                              ReadPlan &candidate) const override;

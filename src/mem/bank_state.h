@@ -13,6 +13,7 @@
 #ifndef PCMAP_MEM_BANK_STATE_H
 #define PCMAP_MEM_BANK_STATE_H
 
+#include <cstdint>
 #include <vector>
 
 #include "mem/rank.h"
@@ -24,11 +25,19 @@ class BankStateView
 {
   public:
     /** @param rank_state The controller's rank vector (aliased, not
-     *  copied; the view stays valid as the vector's contents evolve). */
-    explicit BankStateView(const std::vector<Rank> &rank_state)
-        : rankState(rank_state)
+     *  copied; the view stays valid as the vector's contents evolve).
+     *  @param epoch The channel's timing-state epoch (aliased). */
+    BankStateView(const std::vector<Rank> &rank_state,
+                  const std::uint64_t &epoch)
+        : rankState(rank_state), timingEpoch(epoch)
     {
     }
+
+    /**
+     * The channel's timing-state epoch: bumped by every rank and bus
+     * mutation, so equal values mean unchanged timing state.
+     */
+    std::uint64_t epoch() const { return timingEpoch; }
 
     /** Number of ranks behind this view. */
     unsigned
@@ -73,6 +82,13 @@ class BankStateView
         return rankState[rank].busyWriteChips(bank, now);
     }
 
+    /** First tick after @p now the two masks above may change. */
+    Tick
+    nextBusyChange(unsigned rank, unsigned bank, Tick now) const
+    {
+        return rankState[rank].nextBusyChange(bank, now);
+    }
+
     /** One chip-bank's timing state (open row, busy-until, op kind). */
     const ChipBankState &
     state(unsigned rank, unsigned chip, unsigned bank) const
@@ -82,6 +98,7 @@ class BankStateView
 
   private:
     const std::vector<Rank> &rankState;
+    const std::uint64_t &timingEpoch;
 };
 
 } // namespace pcmap

@@ -4,8 +4,8 @@
 
 namespace pcmap {
 
-Rank::Rank(unsigned banks, bool has_pcc)
-    : numBanks(banks), pccPresent(has_pcc),
+Rank::Rank(unsigned banks, bool has_pcc, std::uint64_t *epoch)
+    : numBanks(banks), pccPresent(has_pcc), epoch(epoch),
       states(static_cast<std::size_t>(kChipsPerRank) * banks),
       bankCeil(banks, 0)
 {
@@ -15,25 +15,27 @@ Rank::Rank(unsigned banks, bool has_pcc)
 void
 Rank::closeRow(unsigned chip, unsigned bank)
 {
-    state(chip, bank).openRow = -1;
+    at(chip, bank).openRow = -1;
+    bumpEpoch();
 }
 
 void
 Rank::abortWrite(unsigned chip, unsigned bank, Tick now)
 {
-    ChipBankState &s = state(chip, bank);
+    ChipBankState &s = at(chip, bank);
     if (s.busyUntil > now)
         s.busyUntil = now;
     s.busyWithWrite = false;
     if (writeBusyUntil[chip] > now)
         writeBusyUntil[chip] = now;
+    bumpEpoch();
 }
 
 void
 Rank::reserveChip(unsigned chip, unsigned bank, std::uint64_t row,
                   Tick start, Tick end, bool is_write)
 {
-    ChipBankState &s = state(chip, bank);
+    ChipBankState &s = at(chip, bank);
     if (start < chipFreeAt(chip, bank)) {
         pcmap_panic("overlapping reservation on chip ", chip, " bank ",
                     bank, ": start ", start, " < free-at ",
@@ -49,6 +51,7 @@ Rank::reserveChip(unsigned chip, unsigned bank, std::uint64_t row,
         writeBusyUntil[chip] = std::max(writeBusyUntil[chip], end);
         writeCeil = std::max(writeCeil, end);
     }
+    bumpEpoch();
 }
 
 } // namespace pcmap

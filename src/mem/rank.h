@@ -49,8 +49,11 @@ class Rank
      * @param has_pcc  False models a conventional 9-chip ECC DIMM
      *                 (the baseline); the PCC slot then must not be
      *                 reserved.
+     * @param epoch    The channel's timing-state epoch, bumped by every
+     *                 mutator (null: none).  Read planners keep plans
+     *                 while it holds still.
      */
-    Rank(unsigned banks, bool has_pcc);
+    Rank(unsigned banks, bool has_pcc, std::uint64_t *epoch = nullptr);
 
     unsigned banks() const { return numBanks; }
     bool hasPcc() const { return pccPresent; }
@@ -66,19 +69,13 @@ class Rank
     // them on every planning pass (tens of millions of calls per
     // run), so they must not cost a cross-TU call each.
 
-    /** Mutable state of one chip-bank. */
-    ChipBankState &
-    state(unsigned chip, unsigned bank)
-    {
-        pcmap_assert(chip < kChipsPerRank && bank < numBanks);
-        return states[static_cast<std::size_t>(chip) * numBanks + bank];
-    }
-
+    /** State of one chip-bank. */
     const ChipBankState &
     state(unsigned chip, unsigned bank) const
     {
         pcmap_assert(chip < kChipsPerRank && bank < numBanks);
-        return states[static_cast<std::size_t>(chip) * numBanks + bank];
+        return states[static_cast<std::size_t>(bank) * kChipsPerRank +
+                      chip];
     }
 
     /**
@@ -204,10 +201,51 @@ class Rank
         return mask;
     }
 
+    /**
+     * Earliest tick after @p now at which busyChips(bank, t) or
+     * busyWriteChips(bank, t) may differ from their value at @p now
+     * (kTickMax when every chip of the bank is already free).  Both
+     * masks are constant on [now, nextBusyChange(bank, now)).
+     */
+    Tick
+    nextBusyChange(unsigned bank, Tick now) const
+    {
+        if (busyCeiling(bank) <= now)
+            return kTickMax;
+        Tick next = kTickMax;
+        for (unsigned c = 0; c < kChipsPerRank; ++c) {
+            const Tick bank_until = state(c, bank).busyUntil;
+            if (bank_until > now)
+                next = std::min(next, bank_until);
+            if (writeBusyUntil[c] > now)
+                next = std::min(next, writeBusyUntil[c]);
+        }
+        return next;
+    }
+
   private:
+    /** Mutable state of one chip-bank; mutators bump the epoch. */
+    ChipBankState &
+    at(unsigned chip, unsigned bank)
+    {
+        pcmap_assert(chip < kChipsPerRank && bank < numBanks);
+        return states[static_cast<std::size_t>(bank) * kChipsPerRank +
+                      chip];
+    }
+
+    void
+    bumpEpoch()
+    {
+        if (epoch != nullptr)
+            ++*epoch;
+    }
+
     unsigned numBanks;
     bool pccPresent;
-    std::vector<ChipBankState> states; ///< [chip * numBanks + bank]
+    std::uint64_t *epoch;
+    /** [bank * kChipsPerRank + chip]: the chips of one bank, which the
+     *  planner's freeAt/busyChips walks visit, are adjacent. */
+    std::vector<ChipBankState> states;
     /** Chip-wide write occupancy (one array write per chip at a time). */
     std::array<Tick, kChipsPerRank> writeBusyUntil{};
     /** Monotone per-bank ceiling over states[*][bank].busyUntil. */

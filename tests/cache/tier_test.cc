@@ -74,6 +74,14 @@ TEST(TierAxis, RejectsMalformedStrings)
     EXPECT_THROW(cache::tierConfigFromString("sram:1M:8:lru"), SimError);
     EXPECT_THROW(cache::tierConfigFromString("dram:0:8:lru"), SimError);
     EXPECT_THROW(cache::tierConfigFromString("dram:1T:8:lru"), SimError);
+    // Sizes that wrap: a shift past 2^64, a negative count, a count
+    // past 2^64 (each once read as some valid size).
+    EXPECT_THROW(cache::tierConfigFromString("dram:17592186044417M:8:lru"),
+                 SimError);
+    EXPECT_THROW(cache::tierConfigFromString("dram:-1M:8:lru"), SimError);
+    EXPECT_THROW(
+        cache::tierConfigFromString("dram:99999999999999999999K:8:lru"),
+        SimError);
     EXPECT_THROW(cache::tierConfigFromString("dram:1M:zero:lru"),
                  SimError);
     EXPECT_THROW(cache::tierConfigFromString("dram:1M:0:lru"), SimError);

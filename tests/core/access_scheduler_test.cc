@@ -39,7 +39,7 @@ class SchedulerTest : public ::testing::Test
   protected:
     SchedulerTest()
     {
-        ranks.emplace_back(geom.banksPerRank, /*has_pcc=*/true);
+        ranks.emplace_back(geom.banksPerRank, /*has_pcc=*/true, &epoch);
         cfg.banksPerRank = geom.banksPerRank;
     }
 
@@ -71,16 +71,16 @@ class SchedulerTest : public ::testing::Test
     {
         for (unsigned c = 0; c < kChipsPerRank; ++c) {
             if (chips & (1u << c))
-                ranks[0].state(c, bank).openRow =
-                    static_cast<std::int64_t>(row);
+                ranks[0].reserveChip(c, bank, row, 0, 0, false);
         }
     }
 
     MemGeometry geom{};
     AddressMapper mapper{geom};
     ControllerConfig cfg = ControllerConfig::forMode(SystemMode::RoW_NR);
+    std::uint64_t epoch = 0;
     std::vector<Rank> ranks;
-    BankStateView view{ranks};
+    BankStateView view{ranks, epoch};
     IdentityLayout nr{/*has_pcc=*/true};
     FixedWindowModel windows;
 };
@@ -147,7 +147,7 @@ TEST_F(SchedulerTest, ImmediateOnlyRejectsBlockedPlansAndMarksDelay)
                        0);
     ASSERT_TRUE(waiting.feasible);
     EXPECT_EQ(waiting.start, 500u);
-    EXPECT_TRUE(waiting.delayedByWrite);
+    EXPECT_TRUE(q[0].delayedByWrite);
 }
 
 TEST_F(SchedulerTest, RowSchedulerDefersEccWhenOnlyEccChipIsBusy)

@@ -24,7 +24,7 @@ class WowCollectTest : public ::testing::Test
   protected:
     WowCollectTest()
     {
-        ranks.emplace_back(geom.banksPerRank, /*has_pcc=*/true);
+        ranks.emplace_back(geom.banksPerRank, /*has_pcc=*/true, &epoch);
         cfg.banksPerRank = geom.banksPerRank;
     }
 
@@ -60,8 +60,9 @@ class WowCollectTest : public ::testing::Test
     AddressMapper mapper{geom};
     BackingStore store;
     ControllerConfig cfg = ControllerConfig::forMode(SystemMode::WoW_NR);
+    std::uint64_t epoch = 0;
     std::vector<Rank> ranks;
-    BankStateView view{ranks};
+    BankStateView view{ranks, epoch};
     IdentityLayout nr{/*has_pcc=*/true};
     ControllerStats stats;
     std::vector<WriteGroupMember> group;
