@@ -27,24 +27,24 @@ main(int argc, char **argv)
 
     std::printf("WoW merge cap      ");
     for (const unsigned cap : {1u, 2u, 4u, 8u}) {
-        SystemConfig cfg = hc.system(SystemMode::RWoW_RDE);
-        cfg.wowMaxMerge = cap;
+        SystemConfig cfg = hc.system(presets::RWoW_RDE);
+        cfg.controller.wowMaxMerge = cap;
         std::printf("  cap%-2u %.3f", cap, runWorkload(cfg, w).ipcSum);
     }
     std::printf("\n");
 
     std::printf("spec-read buffer   ");
     for (const unsigned cap : {2u, 4u, 8u, 16u}) {
-        SystemConfig cfg = hc.system(SystemMode::RWoW_RDE);
-        cfg.specReadBufferCap = cap;
+        SystemConfig cfg = hc.system(presets::RWoW_RDE);
+        cfg.controller.specReadBufferCap = cap;
         std::printf("  cap%-2u %.3f", cap, runWorkload(cfg, w).ipcSum);
     }
     std::printf("\n");
 
     std::printf("code backlog       ");
     for (const unsigned cap : {4u, 8u, 16u, 64u}) {
-        SystemConfig cfg = hc.system(SystemMode::RWoW_RDE);
-        cfg.codeUpdateBacklogCap = cap;
+        SystemConfig cfg = hc.system(presets::RWoW_RDE);
+        cfg.controller.codeUpdateBacklogCap = cap;
         std::printf("  cap%-2u %.3f", cap, runWorkload(cfg, w).ipcSum);
     }
     std::printf("\n\n");
@@ -53,10 +53,10 @@ main(int argc, char **argv)
                 "Baseline", "RWoW-RDE");
     rule(46);
     for (const double alpha : {0.5, 0.65, 0.8, 0.9}) {
-        SystemConfig base = hc.system(SystemMode::Baseline);
-        base.drainHighWatermark = alpha;
-        SystemConfig rde = hc.system(SystemMode::RWoW_RDE);
-        rde.drainHighWatermark = alpha;
+        SystemConfig base = hc.system(presets::Baseline);
+        base.controller.drainHighWatermark = alpha;
+        SystemConfig rde = hc.system(presets::RWoW_RDE);
+        rde.controller.drainHighWatermark = alpha;
         std::printf("alpha = %.2f           %10.3f %10.3f\n", alpha,
                     runWorkload(base, w).ipcSum,
                     runWorkload(rde, w).ipcSum);

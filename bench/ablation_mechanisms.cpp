@@ -34,19 +34,19 @@ main(int argc, char **argv)
     struct Variant
     {
         const char *name;
-        void (*apply)(SystemConfig &);
+        void (*apply)(ControllerConfig &);
     };
     const Variant variants[] = {
-        {"full", [](SystemConfig &) {}},
+        {"full", [](ControllerConfig &) {}},
         {"-code",
-         [](SystemConfig &c) { c.modelCodeUpdateTraffic = false; }},
+         [](ControllerConfig &c) { c.modelCodeUpdateTraffic = false; }},
         {"-verify",
-         [](SystemConfig &c) { c.modelVerifyTraffic = false; }},
+         [](ControllerConfig &c) { c.modelVerifyTraffic = false; }},
         {"-drainrd",
-         [](SystemConfig &c) { c.serveReadsDuringDrain = false; }},
-        {"-twostep", [](SystemConfig &c) { c.enableTwoStep = false; }},
+         [](ControllerConfig &c) { c.serveReadsDuringDrain = false; }},
+        {"-twostep", [](ControllerConfig &c) { c.enableTwoStep = false; }},
         {"+multiword",
-         [](SystemConfig &c) { c.rowMultiWordWrites = true; }},
+         [](ControllerConfig &c) { c.rowMultiWordWrites = true; }},
     };
 
     std::printf("%-10s", "variant");
@@ -59,8 +59,8 @@ main(int argc, char **argv)
     for (const Variant &v : variants) {
         std::printf("%-10s", v.name);
         for (std::size_t i = 0; i < std::size(workloads); ++i) {
-            SystemConfig cfg = hc.system(SystemMode::RWoW_RDE);
-            v.apply(cfg);
+            SystemConfig cfg = hc.system(presets::RWoW_RDE);
+            v.apply(cfg.controller);
             const double ipc = runWorkload(cfg, workloads[i]).ipcSum;
             if (std::string(v.name) == "full") {
                 full_ipc[i] = ipc;

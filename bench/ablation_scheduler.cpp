@@ -48,12 +48,12 @@ main(int argc, char **argv)
                     "RWoW-RDE", "rdLat(RDE)");
         rule(60);
         for (const Variant &v : variants) {
-            SystemConfig base = hc.system(SystemMode::Baseline);
-            base.pagePolicy = v.page;
-            base.readScheduling = v.sched;
-            SystemConfig rde = hc.system(SystemMode::RWoW_RDE);
-            rde.pagePolicy = v.page;
-            rde.readScheduling = v.sched;
+            SystemConfig base = hc.system(presets::Baseline);
+            base.controller.pagePolicy = v.page;
+            base.controller.readScheduling = v.sched;
+            SystemConfig rde = hc.system(presets::RWoW_RDE);
+            rde.controller.pagePolicy = v.page;
+            rde.controller.readScheduling = v.sched;
             const SystemResults rb = runWorkload(base, w);
             const SystemResults rr = runWorkload(rde, w);
             std::printf("  %-22s %10.3f %10.3f %10.1fns\n", v.name,

@@ -52,8 +52,8 @@ banner(const char *title, const char *paper_ref, const HarnessConfig &hc)
 
 namespace {
 
-/** Metric values for one workload across all systems (preset columns
- *  first, then any extra policy compositions), from the report. */
+/** Metric values for one workload across the systems of @p labels,
+ *  from the report. */
 std::vector<double>
 reportRow(const sweep::SweepReport &report, const HarnessConfig &hc,
           const std::vector<std::string> &labels,
@@ -137,7 +137,7 @@ printOrgComparison(const sweep::SweepReport &report,
                 "roundPauses");
     rule(70);
     for (const DeviceOrg org : hc.orgs) {
-        PcmTiming t = hc.system(SystemMode::Baseline).timing;
+        PcmTiming t = hc.system(presets::Baseline).controller.timing;
         if (org != DeviceOrg::Slc)
             t = t.withOrg(org);
         const double write_ns =
@@ -158,9 +158,9 @@ printOrgComparison(const sweep::SweepReport &report,
         if (org != DeviceOrg::Slc)
             suffix = std::string("@") + deviceOrgName(org);
         const double base_lat =
-            mp_mean(systemModeName(SystemMode::Baseline) + suffix);
+            mp_mean(presets::Baseline.label() + suffix);
         const double rwow_lat =
-            mp_mean(systemModeName(SystemMode::RWoW_RDE) + suffix);
+            mp_mean(presets::RWoW_RDE.label() + suffix);
 
         std::uint64_t pauses = 0;
         for (const sweep::RunRecord &rec : report.rows) {
@@ -267,7 +267,7 @@ figureSweep(const HarnessConfig &hc, Metric metric, bool normalize)
             std::printf("-- org=%s --\n",
                         deviceOrgName(hc.orgs[oi]));
         }
-        print_tables(hc.systemLabels(hc.orgs[oi]));
+        print_tables(systemLabels(spec.systems, hc.orgs[oi]));
     }
 
     if (hc.orgs.size() > 1)

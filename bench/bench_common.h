@@ -7,10 +7,9 @@
  *   seed=N      simulation seed (default 1)
  *   threads=N   worker threads for the run matrix (default 1)
  *   jsonl=PATH  also write the raw sweep rows as JSONL
- *   policy=LIST extra composed systems ("fg,row+rd") appended as
- *               figure columns next to the six paper presets;
- *               preset-equivalent compositions are dropped (their
- *               column is already in the matrix)
+ *   policy=LIST extra systems ("fg,row+rd", "RWoW-NR") appended as
+ *               figure columns after the harness's own systems; one
+ *               already among them is not repeated
  *   org=LIST    device organizations (slc,mlc,tlc,qlc or all;
  *               default slc): figure tables repeat per org, and a
  *               multi-org run appends a cross-org comparison table
@@ -29,7 +28,7 @@
  *               given
  * plus harness-specific keys documented in each binary.
  *
- * The figure harnesses no longer loop over (mode, workload) by hand:
+ * The figure harnesses no longer loop over (system, workload) by hand:
  * they declare their run matrix as a sweep::SweepSpec and execute it
  * through sweep::SweepRunner, which shards runs across threads with
  * deterministic per-run seeding — the printed tables are identical at
@@ -39,6 +38,7 @@
 #ifndef PCMAP_BENCH_COMMON_H
 #define PCMAP_BENCH_COMMON_H
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -99,8 +99,8 @@ struct HarnessConfig
     unsigned threads = 1;
     /** When non-empty, figure harnesses dump raw rows here. */
     std::string jsonl;
-    /** Extra non-preset policy compositions, canonical form. */
-    std::vector<std::string> policies;
+    /** Extra systems from policy=, in the order given. */
+    std::vector<ControllerPolicy> policies;
     /** Device organizations to run (org=LIST; default SLC only). */
     std::vector<DeviceOrg> orgs{DeviceOrg::Slc};
     /** Observability selections (trace=/obsEpoch=/obsOut=/traceCap=). */
@@ -118,30 +118,25 @@ struct HarnessConfig
         hc.raw = Config::fromArgs(argc, argv);
         hc.insts = hc.raw.getUint("insts", hc.insts);
         hc.seed = hc.raw.getUint("seed", hc.seed);
-        hc.threads = static_cast<unsigned>(
-            hc.raw.getUint("threads", hc.threads));
+        hc.threads = hc.raw.getUnsigned("threads", hc.threads);
         hc.jsonl = hc.raw.getString("jsonl", hc.jsonl);
         hc.obs = sweep::obsFromConfig(hc.raw);
         hc.fabric = sweep::fabricFromConfig(hc.raw);
         hc.tier = sweep::tierFromConfig(hc.raw);
-        if (hc.raw.has("policy")) {
-            for (const ControllerPolicy &p : sweep::parsePolicies(
-                     hc.raw.requireString("policy"))) {
-                if (!p.presetMode())
-                    hc.policies.push_back(p.composition());
-            }
-        }
+        if (hc.raw.has("policy"))
+            hc.policies =
+                sweep::parsePolicies(hc.raw.requireString("policy"));
         if (hc.raw.has("org"))
             hc.orgs = sweep::parseOrgs(hc.raw.requireString("org"));
         return hc;
     }
 
-    /** Base system configuration for one run. */
+    /** Base configuration for one run of @p policy. */
     SystemConfig
-    system(SystemMode mode) const
+    system(const ControllerPolicy &policy) const
     {
         SystemConfig cfg;
-        cfg.mode = mode;
+        policy.applyTo(cfg.controller);
         cfg.instructionsPerCore = insts;
         cfg.seed = seed;
         cfg.fabric = fabric;
@@ -149,71 +144,63 @@ struct HarnessConfig
         return cfg;
     }
 
+    /** @p systems, then each policy= system not among them. */
+    std::vector<ControllerPolicy>
+    withPolicies(std::vector<ControllerPolicy> systems) const
+    {
+        for (const ControllerPolicy &p : policies) {
+            if (std::find(systems.begin(), systems.end(), p) ==
+                systems.end())
+                systems.push_back(p);
+        }
+        return systems;
+    }
+
     /**
-     * The evaluation run matrix of Figures 8-11 as a sweep spec: all
-     * six system modes against @p workloads, base seed folded in.
-     * Per-run seeds are derived per point, so figure tables produced
-     * through this spec are reproducible from (insts, seed) alone.
+     * The evaluation run matrix of Figures 8-11 as a sweep spec: the
+     * six paper systems (plus policy=) against @p workloads, base
+     * seed folded in.  Per-run seeds are derived per point, so figure
+     * tables produced through this spec are reproducible from (insts,
+     * seed) alone.
      */
     sweep::SweepSpec
     evaluationSpec(const std::vector<std::string> &workloads) const
     {
         sweep::SweepSpec spec;
-        spec.configs[0].base = system(SystemMode::Baseline);
-        spec.modes.assign(std::begin(kAllModes), std::end(kAllModes));
-        spec.policies = policies;
+        spec.configs[0].base = system(presets::Baseline);
+        spec.systems = withPolicies(
+            {std::begin(kPaperSystems), std::end(kPaperSystems)});
         spec.workloads = workloads;
         spec.seeds = {seed};
         spec.orgs = orgs;
         return spec;
     }
-
-    /** Figure column labels: the six presets plus extra policies. */
-    std::vector<std::string>
-    systemLabels() const
-    {
-        std::vector<std::string> labels;
-        for (const SystemMode mode : kAllModes)
-            labels.push_back(systemModeName(mode));
-        labels.insert(labels.end(), policies.begin(), policies.end());
-        return labels;
-    }
-
-    /**
-     * Column labels under one device organization: the report labels
-     * carry an "@org" suffix off the default, mirroring
-     * SweepPoint::label().
-     */
-    std::vector<std::string>
-    systemLabels(DeviceOrg org) const
-    {
-        std::vector<std::string> labels = systemLabels();
-        if (org != DeviceOrg::Slc) {
-            for (std::string &l : labels) {
-                l += '@';
-                l += deviceOrgName(org);
-            }
-        }
-        return labels;
-    }
 };
 
-/** Run one (mode, workload) point. */
-inline SystemResults
-runPoint(const HarnessConfig &hc, SystemMode mode,
-         const std::string &workload)
+/**
+ * Report labels of @p systems under @p org, as SweepPoint::label()
+ * writes them: an "@org" suffix off the default organization.
+ */
+inline std::vector<std::string>
+systemLabels(const std::vector<ControllerPolicy> &systems,
+             DeviceOrg org = DeviceOrg::Slc)
 {
-    return runWorkload(hc.system(mode), workload);
+    std::vector<std::string> labels;
+    for (const ControllerPolicy &system : systems) {
+        sweep::SweepPoint p;
+        p.system = system;
+        p.org = org;
+        labels.push_back(p.label());
+    }
+    return labels;
 }
 
-/** The five PCMap systems compared against the baseline. */
-inline const std::vector<SystemMode> &
-pcmapModes()
+/** Run one (system, workload) point. */
+inline SystemResults
+runPoint(const HarnessConfig &hc, const ControllerPolicy &system,
+         const std::string &workload)
 {
-    static const std::vector<SystemMode> modes = {
-        SystemMode::WoW_NR, SystemMode::RoW_NR, SystemMode::RWoW_NR,
-        SystemMode::RWoW_RD, SystemMode::RWoW_RDE};
-    return modes;
+    return runWorkload(hc.system(system), workload);
 }
 
 /** Geometric mean of a vector of positive ratios. */
@@ -249,7 +236,7 @@ struct FigureDef
 /**
  * Run the evaluation sweep of Figures 8-11: the six multi-threaded
  * workloads plus Average(MT) over the 13 PARSEC programs, then the
- * six multiprogrammed mixes plus Average(MP), across system modes.
+ * six multiprogrammed mixes plus Average(MP), across the systems.
  * Executes the whole matrix through sweep::SweepRunner with
  * hc.threads workers.
  */

@@ -34,10 +34,10 @@ main(int argc, char **argv)
     const unsigned channel_sweep[] = {2, 4, 8};
     for (const unsigned channels : channel_sweep) {
         for (const unsigned ranks : rank_sweep) {
-            SystemConfig base = hc.system(SystemMode::Baseline);
+            SystemConfig base = hc.system(presets::Baseline);
             base.geometry.channels = channels;
             base.geometry.ranksPerChannel = ranks;
-            SystemConfig rde = hc.system(SystemMode::RWoW_RDE);
+            SystemConfig rde = hc.system(presets::RWoW_RDE);
             rde.geometry.channels = channels;
             rde.geometry.ranksPerChannel = ranks;
             const double b = runWorkload(base, w).ipcSum;

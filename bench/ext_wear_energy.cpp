@@ -4,7 +4,7 @@
  *
  * Part 1 — the paper's Section IV-C2 claim that rotating data and
  * ECC/PCC words balances chip-level wear: per-chip write imbalance
- * (max/mean) and differential-write energy for each system mode.
+ * (max/mean) and differential-write energy for each paper system.
  * Without rotation the fixed ECC/PCC chips absorb an update per
  * write-back and wear several times faster than the mean; RDE
  * flattens the distribution.
@@ -38,10 +38,10 @@ main(int argc, char **argv)
                 "chipImbal", "chipCV", "energy(uJ)", "bitsSet(M)",
                 "bitsRst(M)");
     rule(66);
-    for (const SystemMode mode : kAllModes) {
-        const SystemResults r = runPoint(hc, mode, w);
+    for (const ControllerPolicy &system : kPaperSystems) {
+        const SystemResults r = runPoint(hc, system, w);
         std::printf("%-10s %10.3f %8.3f %12.1f %10.2f %10.2f\n",
-                    systemModeName(mode), r.wearChipImbalance,
+                    system.label().c_str(), r.wearChipImbalance,
                     r.wearChipCv, r.energyUj,
                     static_cast<double>(r.bitsSet) / 1e6,
                     static_cast<double>(r.bitsReset) / 1e6);

@@ -40,25 +40,25 @@ main(int argc, char **argv)
     struct Row
     {
         const char *name;
-        SystemMode mode;
+        ControllerPolicy system;
         bool cancel;
         bool preset;
     };
     const Row rows[] = {
-        {"Baseline", SystemMode::Baseline, false, false},
-        {"Baseline+cancel", SystemMode::Baseline, true, false},
-        {"Baseline+preset", SystemMode::Baseline, false, true},
-        {"RoW-NR", SystemMode::RoW_NR, false, false},
-        {"RWoW-RDE", SystemMode::RWoW_RDE, false, false},
+        {"Baseline", presets::Baseline, false, false},
+        {"Baseline+cancel", presets::Baseline, true, false},
+        {"Baseline+preset", presets::Baseline, false, true},
+        {"RoW-NR", presets::RoW_NR, false, false},
+        {"RWoW-RDE", presets::RWoW_RDE, false, false},
     };
 
     // IPC (and read latency in parentheses) per cell.
     for (const Row &row : rows) {
         std::printf("%-22s", row.name);
         for (const char *w : workloads) {
-            SystemConfig cfg = hc.system(row.mode);
-            cfg.enableWriteCancellation = row.cancel;
-            cfg.enablePreset = row.preset;
+            SystemConfig cfg = hc.system(row.system);
+            cfg.controller.enableWriteCancellation = row.cancel;
+            cfg.controller.enablePreset = row.preset;
             const SystemResults r = runWorkload(cfg, w);
             host.add(r);
             std::printf("  %6.3f(%3.0fns)", r.ipcSum,
@@ -80,10 +80,10 @@ main(int argc, char **argv)
                 "Base+preset", "gain");
     rule(50);
     for (const double set_ns : {120.0, 240.0, 480.0}) {
-        SystemConfig base = hc.system(SystemMode::Baseline);
-        base.timing.setNs = set_ns;
+        SystemConfig base = hc.system(presets::Baseline);
+        base.controller.timing.setNs = set_ns;
         SystemConfig pre = base;
-        pre.enablePreset = true;
+        pre.controller.enablePreset = true;
         const SystemResults rb = runWorkload(base, "MP4");
         const SystemResults rp = runWorkload(pre, "MP4");
         host.add(rb);

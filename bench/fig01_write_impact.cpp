@@ -34,12 +34,13 @@ main(int argc, char **argv)
     std::vector<double> delayed;
     std::vector<double> ratios;
     for (const std::string &prog : workload::figure1Programs()) {
-        SystemConfig asym = hc.system(SystemMode::Baseline);
+        SystemConfig asym = hc.system(presets::Baseline);
         const SystemResults ra = runWorkload(asym, prog);
 
-        SystemConfig sym = hc.system(SystemMode::Baseline);
-        sym.timing.setNs = sym.timing.arrayReadNs;   // symmetric PCM
-        sym.timing.resetNs = sym.timing.arrayReadNs;
+        SystemConfig sym = hc.system(presets::Baseline);
+        PcmTiming &t = sym.controller.timing;
+        t.setNs = t.arrayReadNs; // symmetric PCM
+        t.resetNs = t.arrayReadNs;
         const SystemResults rs = runWorkload(sym, prog);
 
         const double ratio = rs.avgReadLatencyNs > 0.0

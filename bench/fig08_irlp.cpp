@@ -7,7 +7,7 @@
  * raises it to ~3.5 (MT) and close to 8 for MP1-MP3; overall PCMap
  * average 4.5, best workload 7.4.
  *
- * The run matrix (6 modes x the evaluated workloads) is declared as a
+ * The run matrix (6 systems x the evaluated workloads) is declared as a
  * sweep::SweepSpec and executed via the sweep runner; pass threads=N
  * to parallelize and jsonl=PATH to keep the raw rows.
  */

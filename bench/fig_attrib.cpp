@@ -17,7 +17,7 @@
  *                 (default none,dram:4M:8:lru)
  *   workload=W    workload name for the per-core profiles
  *                 (default MP1)
- *   modes=LIST    system modes, or all | pcmap
+ *   modes=LIST    systems (names or compositions), or all | pcmap
  *                 (default Baseline,RWoW-RDE)
  *
  * The fabric keys (tenants=, rate=, ...) default to a 2-tenant
@@ -81,8 +81,6 @@ main(int argc, char **argv)
     if (tier_specs.empty())
         fatal("tiers= needs at least one spec");
     const std::string workload = args.getString("workload", "MP1");
-    const std::vector<SystemMode> modes =
-        sweep::parseModes(args.getString("modes", "Baseline,RWoW-RDE"));
 
     // Default fabric: two open-loop tenants over a real link, so the
     // link-wait and queue phases are populated even when no fabric
@@ -111,13 +109,13 @@ main(int argc, char **argv)
     for (const cache::TierConfig &tier : tiers) {
         sweep::ConfigVariant v;
         v.name = cache::tierConfigToString(tier);
-        v.base = hc.system(SystemMode::Baseline);
+        v.base = hc.system(presets::Baseline);
         v.base.fabric = fab;
         v.base.tier = tier;
         spec.configs.push_back(v);
     }
-    spec.modes = modes;
-    spec.policies = hc.policies;
+    spec.systems = hc.withPolicies(
+        sweep::parseModes(args.getString("modes", "Baseline,RWoW-RDE")));
     spec.workloads = {workload};
     spec.seeds = {hc.seed};
     spec.orgs = hc.orgs;
@@ -147,16 +145,7 @@ main(int argc, char **argv)
                 workload.c_str());
 
     for (const DeviceOrg org : hc.orgs) {
-        std::vector<std::string> labels;
-        for (const SystemMode mode : modes)
-            labels.emplace_back(systemModeName(mode));
-        labels.insert(labels.end(), hc.policies.begin(),
-                      hc.policies.end());
-        if (org != DeviceOrg::Slc) {
-            for (std::string &l : labels)
-                l += std::string("@") + deviceOrgName(org);
-        }
-        for (const std::string &label : labels) {
+        for (const std::string &label : systemLabels(spec.systems, org)) {
             std::printf("\n== %s ==\n", label.c_str());
             std::printf("%-22s %6s %9s %6s %6s %6s %6s %6s %6s %6s\n",
                         "tier", "tenant", "p99", "link", "cache",

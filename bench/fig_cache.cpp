@@ -3,7 +3,7 @@
  * fig-cache: the DRAM cache tier's filtering effect on PCM traffic.
  *
  * Sweeps tier shape (none plus sizes x replacement policies) against
- * device organization and system mode, and prints one table per
+ * device organization and system, and prints one table per
  * (system, organization): tier hit rate, PCM writes actually
  * committed behind the tier, dirty words per write-back, read
  * latency, and — because every point runs through the request fabric
@@ -18,7 +18,8 @@
  *   repl=LIST     replacement policies, lru | mac (default lru,mac)
  *   workload=W    workload name for the per-core profiles
  *                 (default MP1)
- *   modes=LIST    system modes, or all | pcmap (default Baseline)
+ *   modes=LIST    systems (names or compositions), or all | pcmap
+ *                 (default Baseline)
  *
  * The fabric keys (tenants=, rate=, ...) default to a 2-tenant
  * Poisson 8/us mixed-QoS stream over a 16 GB/s + 20 ns link when not
@@ -69,14 +70,12 @@ main(int argc, char **argv)
         sweep::splitCommas(args.getString("sizes", "1M,4M"));
     if (sizes.empty())
         fatal("sizes= needs at least one capacity");
-    const auto ways = static_cast<unsigned>(args.getUint("ways", 8));
+    const unsigned ways = args.getUnsigned("ways", 8);
     std::vector<std::string> repls =
         sweep::splitCommas(args.getString("repl", "lru,mac"));
     if (repls.empty())
         fatal("repl= needs at least one policy");
     const std::string workload = args.getString("workload", "MP1");
-    const std::vector<SystemMode> modes =
-        sweep::parseModes(args.getString("modes", "Baseline"));
 
     // Default fabric: two open-loop tenants over a real link, so the
     // p99 column is measured through the full stack even when no
@@ -113,13 +112,13 @@ main(int argc, char **argv)
     for (const cache::TierConfig &tier : tiers) {
         sweep::ConfigVariant v;
         v.name = cache::tierConfigToString(tier);
-        v.base = hc.system(SystemMode::Baseline);
+        v.base = hc.system(presets::Baseline);
         v.base.fabric = fab;
         v.base.tier = tier;
         spec.configs.push_back(v);
     }
-    spec.modes = modes;
-    spec.policies = hc.policies;
+    spec.systems = hc.withPolicies(
+        sweep::parseModes(args.getString("modes", "Baseline")));
     spec.workloads = {workload};
     spec.seeds = {hc.seed};
     spec.orgs = hc.orgs;
@@ -145,16 +144,7 @@ main(int argc, char **argv)
                 fab.linkNs, ways, workload.c_str());
 
     for (const DeviceOrg org : hc.orgs) {
-        std::vector<std::string> labels;
-        for (const SystemMode mode : modes)
-            labels.emplace_back(systemModeName(mode));
-        labels.insert(labels.end(), hc.policies.begin(),
-                      hc.policies.end());
-        if (org != DeviceOrg::Slc) {
-            for (std::string &l : labels)
-                l += std::string("@") + deviceOrgName(org);
-        }
-        for (const std::string &label : labels) {
+        for (const std::string &label : systemLabels(spec.systems, org)) {
             std::printf("\n== %s ==\n", label.c_str());
             std::printf("%-22s %7s %9s %9s %8s %8s %8s %8s\n", "tier",
                         "hitRate", "pcmWrites", "dirtyW/WB", "readLat",

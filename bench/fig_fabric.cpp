@@ -23,7 +23,8 @@
  *   reqs=N        per-tenant request budget (default 20000)
  *   workload=W    workload name supplying the per-core address/mix
  *                 profiles (default MP1)
- *   modes=LIST    system modes, or all | pcmap (default all)
+ *   modes=LIST    systems (names or compositions), or all | pcmap
+ *                 (default all)
  *
  * Every run pairs a "shared" point (all tenants active) with a "solo"
  * point (one tenant, same rate, same link) so the slowdown column is
@@ -118,8 +119,7 @@ main(int argc, char **argv)
             fatal("rates=: '", tok, "' is not a positive rate");
         rates.push_back(r);
     }
-    const auto tenants =
-        static_cast<unsigned>(args.getUint("tenants", 4));
+    const unsigned tenants = args.getUnsigned("tenants", 4);
     if (tenants == 0)
         fatal("tenants= must be at least 1");
     const std::string qos = args.getString("qos", "mixed");
@@ -127,8 +127,6 @@ main(int argc, char **argv)
         fatal("qos=: '", qos, "' (known: mixed, ls, be)");
     const double burst = args.getDouble("burst", 1.0);
     const std::string workload = args.getString("workload", "MP1");
-    const std::vector<SystemMode> modes =
-        sweep::parseModes(args.getString("modes", "all"));
 
     // Link/arbiter prototype shared by every variant.  The link is on
     // by default here — a zero-delay link would make the queueing
@@ -139,8 +137,7 @@ main(int argc, char **argv)
     proto.arb = fabric::linkArbFromName(args.getString("arb", "prio"));
     proto.linkGbps = args.getDouble("linkGbps", 16.0);
     proto.linkNs = args.getDouble("linkNs", 20.0);
-    proto.queueCap = static_cast<unsigned>(
-        args.getUint("linkQueue", proto.queueCap));
+    proto.queueCap = args.getUnsigned("linkQueue", proto.queueCap);
 
     // Two config variants per curve point: the shared run, and a solo
     // run of one tenant at the same rate on the same link — the
@@ -150,19 +147,19 @@ main(int argc, char **argv)
     for (const double r : rates) {
         sweep::ConfigVariant shared;
         shared.name = "shared@r" + rateLabel(r);
-        shared.base = hc.system(SystemMode::Baseline);
+        shared.base = hc.system(presets::Baseline);
         shared.base.fabric =
             sharedFabric(proto, tenants, r, burst, qos);
         spec.configs.push_back(shared);
 
         sweep::ConfigVariant solo;
         solo.name = "solo@r" + rateLabel(r);
-        solo.base = hc.system(SystemMode::Baseline);
+        solo.base = hc.system(presets::Baseline);
         solo.base.fabric = sharedFabric(proto, 1, r, burst, "ls");
         spec.configs.push_back(solo);
     }
-    spec.modes = modes;
-    spec.policies = hc.policies;
+    spec.systems = hc.withPolicies(
+        sweep::parseModes(args.getString("modes", "all")));
     spec.workloads = {workload};
     spec.seeds = {hc.seed};
     spec.orgs = hc.orgs;
@@ -189,18 +186,7 @@ main(int argc, char **argv)
                 tenants, qos.c_str(), burst, workload.c_str());
 
     for (const DeviceOrg org : hc.orgs) {
-        // Column systems actually in the spec (modes= plus extra
-        // policy compositions), with the usual "@org" suffix.
-        std::vector<std::string> labels;
-        for (const SystemMode mode : modes)
-            labels.emplace_back(systemModeName(mode));
-        labels.insert(labels.end(), hc.policies.begin(),
-                      hc.policies.end());
-        if (org != DeviceOrg::Slc) {
-            for (std::string &l : labels)
-                l += std::string("@") + deviceOrgName(org);
-        }
-        for (const std::string &label : labels) {
+        for (const std::string &label : systemLabels(spec.systems, org)) {
             std::printf("\n== %s ==\n", label.c_str());
             std::printf("%6s %4s %-4s %8s %8s %8s %8s %8s %8s %8s\n",
                         "rate", "ten", "qos", "tput", "p50", "p99",

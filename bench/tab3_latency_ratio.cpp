@@ -25,8 +25,8 @@ main(int argc, char **argv)
            hc);
 
     const double ratios[] = {2.0, 4.0, 6.0, 8.0};
-    const SystemMode studied[] = {SystemMode::RWoW_RDE,
-                                  SystemMode::RWoW_NR};
+    const ControllerPolicy studied[] = {presets::RWoW_RDE,
+                                        presets::RWoW_NR};
     const std::vector<std::string> workloads =
         workload::evaluatedWorkloads();
 
@@ -36,15 +36,15 @@ main(int argc, char **argv)
     std::printf("\n");
     rule(58);
 
-    for (const SystemMode mode : studied) {
-        std::printf("%-22s", systemModeName(mode));
+    for (const ControllerPolicy &system : studied) {
+        std::printf("%-22s", system.label().c_str());
         for (const double ratio : ratios) {
             std::vector<double> gains;
             for (const std::string &w : workloads) {
-                SystemConfig base = hc.system(SystemMode::Baseline);
-                base.timing.arrayReadNs = 120.0 / ratio;
-                SystemConfig sys = hc.system(mode);
-                sys.timing.arrayReadNs = 120.0 / ratio;
+                SystemConfig base = hc.system(presets::Baseline);
+                base.controller.timing.arrayReadNs = 120.0 / ratio;
+                SystemConfig sys = hc.system(system);
+                sys.controller.timing.arrayReadNs = 120.0 / ratio;
                 const double b = runWorkload(base, w).ipcSum;
                 const double p = runWorkload(sys, w).ipcSum;
                 if (b > 0.0)

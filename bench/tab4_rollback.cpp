@@ -39,12 +39,12 @@ main(int argc, char **argv)
 
     for (const char *w : workloads) {
         const SystemResults base =
-            runPoint(hc, SystemMode::Baseline, w);
+            runPoint(hc, presets::Baseline, w);
 
-        SystemConfig clean_cfg = hc.system(SystemMode::RWoW_RDE);
+        SystemConfig clean_cfg = hc.system(presets::RWoW_RDE);
         const SystemResults clean = runWorkload(clean_cfg, w);
 
-        SystemConfig faulty_cfg = hc.system(SystemMode::RWoW_RDE);
+        SystemConfig faulty_cfg = hc.system(presets::RWoW_RDE);
         faulty_cfg.core.assumeAlwaysFaulty = true;
         const SystemResults faulty = runWorkload(faulty_cfg, w);
 

@@ -18,6 +18,7 @@
 
 #include "cache/tier.h"
 #include "core/memory_system.h"
+#include "core/policy/controller_policy.h"
 #include "cpu/core_model.h"
 #include "sim/config.h"
 #include "workload/generator.h"
@@ -33,12 +34,14 @@ main(int argc, char **argv)
         workload::findProfile(args.getString("app", "canneal"));
     const std::uint64_t insts = args.getUint("insts", 2'000'000);
     const std::uint64_t seed = args.getUint("seed", 1);
-    const SystemMode mode =
-        requireSystemMode(args.getString("mode", "RWoW-RDE"));
+    const ControllerPolicy system =
+        ControllerPolicy::require(args.getString("mode", "RWoW-RDE"));
 
     EventQueue eq;
     MemGeometry geom;
-    MainMemory memory(ControllerConfig::forMode(mode), geom, eq);
+    ControllerConfig mc;
+    system.applyTo(mc);
+    MainMemory memory(mc, geom, eq);
     cache::TierConfig tcfg;
     tcfg.sizeBytes = 2ull << 20;
     cache::CacheTier tier(tcfg, eq, memory);
@@ -69,7 +72,7 @@ main(int argc, char **argv)
     }
     const cache::TierCounters &tc = tier.counters();
     std::printf("%s on %s through a 2 MB tier: IPC %.3f, IRLP %.2f\n",
-                prof.name.c_str(), systemModeName(mode), core.ipc(),
+                prof.name.c_str(), system.label().c_str(), core.ipc(),
                 span > 0.0 ? irlp / span : 0.0);
     std::printf("tier hit rate %.1f%%, %llu fills, %llu write-backs "
                 "(%.2f dirty words each) -> %llu PCM reads, %llu PCM "

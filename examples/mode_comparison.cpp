@@ -27,33 +27,32 @@ main(int argc, char **argv)
     SystemConfig cfg;
     cfg.instructionsPerCore = insts;
     cfg.seed = args.getUint("seed", 1);
-    cfg.timing.arrayReadNs = args.getDouble("readns", 60.0);
-    cfg.timing.setNs = args.getDouble("writens", 120.0);
-    cfg.modelCodeUpdateTraffic = args.getBool("codetraffic", true);
-    cfg.modelVerifyTraffic = args.getBool("verifytraffic", true);
-    cfg.serveReadsDuringDrain = args.getBool("drainreads", true);
-    cfg.enableTwoStep = args.getBool("twostep", true);
-    cfg.writeQueueCap =
-        static_cast<unsigned>(args.getUint("wq", cfg.writeQueueCap));
-    cfg.readQueueCap =
-        static_cast<unsigned>(args.getUint("rq", cfg.readQueueCap));
+    ControllerConfig &mc = cfg.controller;
+    mc.timing.arrayReadNs = args.getDouble("readns", 60.0);
+    mc.timing.setNs = args.getDouble("writens", 120.0);
+    mc.modelCodeUpdateTraffic = args.getBool("codetraffic", true);
+    mc.modelVerifyTraffic = args.getBool("verifytraffic", true);
+    mc.serveReadsDuringDrain = args.getBool("drainreads", true);
+    mc.enableTwoStep = args.getBool("twostep", true);
+    mc.writeQueueCap = args.getUnsigned("wq", mc.writeQueueCap);
+    mc.readQueueCap = args.getUnsigned("rq", mc.readQueueCap);
 
     std::printf("workload %s, %llu insts/core, read %gns write %gns\n\n",
                 workload.c_str(),
                 static_cast<unsigned long long>(insts),
-                cfg.timing.arrayReadNs, cfg.timing.arrayWriteNs());
+                mc.timing.arrayReadNs, mc.timing.arrayWriteNs());
     std::printf("%-9s %6s %6s %8s %8s %8s %7s %7s %7s %7s %7s %7s %6s\n",
                 "system", "IRLP", "maxIR", "rdLatNs", "qWaitNs", "wrThruM",
                 "IPCsum", "%rdDly", "rowRd", "eccDfr", "wowMrg",
                 "2step", "rollbk");
 
-    for (const SystemMode mode : kAllModes) {
-        cfg.mode = mode;
+    for (const ControllerPolicy &system : kPaperSystems) {
+        system.applyTo(mc);
         const SystemResults r = runWorkload(cfg, workload);
         std::printf(
             "%-9s %6.2f %6.1f %8.1f %8.1f %8.2f %7.3f %7.1f %7llu %7llu "
             "%7llu %7llu %6llu\n",
-            systemModeName(mode), r.irlpMean, r.irlpMax,
+            system.label().c_str(), r.irlpMean, r.irlpMax,
             r.avgReadLatencyNs, r.avgReadQueueWaitNs,
             r.writeThroughput / 1e6, r.ipcSum,
             r.pctReadsDelayedByWrite,

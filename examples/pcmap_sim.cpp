@@ -11,7 +11,8 @@
  *
  * Keys (all optional):
  *   workload   MP1..MP6, any profile name (default MP1)
- *   mode       Baseline|RoW-NR|WoW-NR|RWoW-NR|RWoW-RD|RWoW-RDE|all
+ *   mode       Baseline|RoW-NR|WoW-NR|RWoW-NR|RWoW-RD|RWoW-RDE|all,
+ *              or a composition such as row+rd
  *   insts      instructions per core           (default 1000000)
  *   cores      number of cores                 (default 8)
  *   seed       simulation seed                 (default 1)
@@ -50,8 +51,9 @@ main(int argc, char **argv)
 
     SystemConfig cfg;
     cfg.instructionsPerCore = args.getUint("insts", 1'000'000);
-    cfg.numCores = static_cast<unsigned>(args.getUint("cores", 8));
+    cfg.numCores = args.getUnsigned("cores", 8);
     cfg.seed = args.getUint("seed", 1);
+    ControllerConfig &mc = cfg.controller;
     if (args.has("org")) {
         const std::string org_name = args.requireString("org");
         const auto org = deviceOrgFromName(org_name);
@@ -59,32 +61,25 @@ main(int argc, char **argv)
             fatal("unknown device organization '", org_name,
                   "' (known: ", deviceOrgNames(), ")");
         }
-        cfg.timing = cfg.timing.withOrg(*org);
+        mc.timing = mc.timing.withOrg(*org);
     }
-    cfg.timing.arrayReadNs =
-        args.getDouble("readns", cfg.timing.arrayReadNs);
-    cfg.timing.setNs = args.getDouble("writens", cfg.timing.setNs);
-    cfg.writeQueueCap =
-        static_cast<unsigned>(args.getUint("wq", cfg.writeQueueCap));
-    cfg.readQueueCap =
-        static_cast<unsigned>(args.getUint("rq", cfg.readQueueCap));
-    cfg.drainHighWatermark =
-        args.getDouble("alpha", cfg.drainHighWatermark);
-    cfg.wowMaxMerge =
-        static_cast<unsigned>(args.getUint("wowmerge", cfg.wowMaxMerge));
+    mc.timing.arrayReadNs = args.getDouble("readns", mc.timing.arrayReadNs);
+    mc.timing.setNs = args.getDouble("writens", mc.timing.setNs);
+    mc.writeQueueCap = args.getUnsigned("wq", mc.writeQueueCap);
+    mc.readQueueCap = args.getUnsigned("rq", mc.readQueueCap);
+    mc.drainHighWatermark = args.getDouble("alpha", mc.drainHighWatermark);
+    mc.wowMaxMerge = args.getUnsigned("wowmerge", mc.wowMaxMerge);
     cfg.core.assumeAlwaysFaulty = args.getBool("faulty", false);
-    cfg.rowMultiWordWrites = args.getBool("multiword", false);
-    cfg.perBankWriteQueues = args.getBool("perbankwq", false);
-    cfg.enableWriteCancellation = args.getBool("cancel", false);
-    cfg.enablePreset = args.getBool("preset", false);
-    cfg.geometry.ranksPerChannel =
-        static_cast<unsigned>(args.getUint("ranks", 1));
-    cfg.geometry.channels =
-        static_cast<unsigned>(args.getUint("channels", 4));
+    mc.rowMultiWordWrites = args.getBool("multiword", false);
+    mc.perBankWriteQueues = args.getBool("perbankwq", false);
+    mc.enableWriteCancellation = args.getBool("cancel", false);
+    mc.enablePreset = args.getBool("preset", false);
+    cfg.geometry.ranksPerChannel = args.getUnsigned("ranks", 1);
+    cfg.geometry.channels = args.getUnsigned("channels", 4);
 
     const bool dump_stats = args.getBool("stats", false);
-    auto run_one = [&](SystemMode m) {
-        cfg.mode = m;
+    auto run_one = [&](const ControllerPolicy &system) {
+        system.applyTo(mc);
         System sys(cfg,
                    workload::makeWorkload(workload, cfg.numCores));
         dumpResults(sys.run(), std::cout);
@@ -95,10 +90,10 @@ main(int argc, char **argv)
         std::cout << "\n";
     };
     if (mode_name == "all") {
-        for (const SystemMode m : kAllModes)
-            run_one(m);
+        for (const ControllerPolicy &system : kPaperSystems)
+            run_one(system);
         return 0;
     }
-    run_one(requireSystemMode(mode_name, {"all"}));
+    run_one(ControllerPolicy::require(mode_name, {"all"}));
     return 0;
 }

@@ -32,20 +32,20 @@ main(int argc, char **argv)
                 "RPKI", "WPKI");
 
     SystemResults base;
-    for (SystemMode mode :
-         {SystemMode::Baseline, SystemMode::RWoW_RDE}) {
+    for (const ControllerPolicy &system :
+         {presets::Baseline, presets::RWoW_RDE}) {
         SystemConfig cfg;
-        cfg.mode = mode;
+        system.applyTo(cfg.controller);
         cfg.instructionsPerCore = insts;
         cfg.seed = seed;
         const SystemResults r = runWorkload(cfg, workload);
-        if (mode == SystemMode::Baseline)
+        if (system == presets::Baseline)
             base = r;
         std::printf("%-10s %7.2f %7.1f %9.1f %10.2f %8.3f %8.2f %8.2f\n",
-                    systemModeName(mode), r.irlpMean, r.irlpMax,
+                    system.label().c_str(), r.irlpMean, r.irlpMax,
                     r.avgReadLatencyNs, r.writeThroughput / 1e6,
                     r.ipcSum, r.rpki, r.wpki);
-        if (mode == SystemMode::RWoW_RDE && base.ipcSum > 0.0) {
+        if (system == presets::RWoW_RDE && base.ipcSum > 0.0) {
             std::printf("\nPCMap vs baseline: IPC %+.1f%%, "
                         "read latency %.2fx, write throughput %.2fx, "
                         "IRLP %.2f -> %.2f\n",

@@ -48,8 +48,7 @@ ChannelBuses::computeWriteWindow(ChipMask chips, Tick lower_bound,
 }
 
 void
-ChannelBuses::occupy(ChipMask chips, Tick burst_end, bool is_write,
-                     unsigned num_cmds, Tick now)
+ChannelBuses::occupy(ChipMask chips, Tick burst_end, bool is_write)
 {
     // Lanes are held conservatively from now to burst_end.
     forEachSetBit(chips, [&](unsigned c) {
@@ -61,7 +60,6 @@ ChannelBuses::occupy(ChipMask chips, Tick burst_end, bool is_write,
         lastWriteBurstEnd = std::max(lastWriteBurstEnd, burst_end);
     else
         lastReadBurstEnd = std::max(lastReadBurstEnd, burst_end);
-    cmdBusFreeAt = std::max(cmdBusFreeAt, now) + tm.cycles(num_cmds);
     ++timingEpoch;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Bus-level timing state of one channel: the per-chip data lanes, the
- * shared command bus and the read/write turnaround, with the window
- * arithmetic every transaction is placed by.
+ * Bus-level timing state of one channel: the per-chip data lanes and
+ * the read/write turnaround, with the window arithmetic every
+ * transaction is placed by.  Command-bus slots are not modelled.
  *
  * Rank (mem/rank.h) holds the array side of a channel's timing state;
  * this class holds the bus side.  Both bump the channel's timing-state
@@ -23,7 +23,7 @@
 
 namespace pcmap {
 
-/** Lanes, command bus and turnaround of one channel. */
+/** Lanes and turnaround of one channel. */
 class ChannelBuses final : public ReadWindowModel
 {
   public:
@@ -53,11 +53,9 @@ class ChannelBuses final : public ReadWindowModel
 
     /**
      * Commit the bus occupancy of an issued transaction whose data
-     * burst ends at @p burst_end; @p num_cmds command slots are taken
-     * from @p now on.
+     * burst ends at @p burst_end.
      */
-    void occupy(ChipMask chips, Tick burst_end, bool is_write,
-                unsigned num_cmds, Tick now);
+    void occupy(ChipMask chips, Tick burst_end, bool is_write);
 
     /** Number of data lanes still carrying a burst at @p now. */
     unsigned busyLanes(Tick now) const;
@@ -68,7 +66,6 @@ class ChannelBuses final : public ReadWindowModel
     std::array<Tick, kChipsPerRank> laneFreeAt{};
     /** max over laneFreeAt: a burst at or past it skips the lane walk. */
     Tick laneMaxFree = 0;
-    Tick cmdBusFreeAt = 0;
     Tick lastReadBurstEnd = 0;
     Tick lastWriteBurstEnd = 0;
 };

@@ -1,70 +1,17 @@
 /**
  * @file
- * Configuration of a PCMap memory controller, plus the named presets
- * for the six systems evaluated in Section V of the paper.
+ * Configuration of a PCMap memory controller.  Its mechanism switches
+ * are the system; ControllerPolicy names their combinations, the six
+ * systems of Section V among them.
  */
 
 #ifndef PCMAP_CORE_CONTROLLER_CONFIG_H
 #define PCMAP_CORE_CONTROLLER_CONFIG_H
 
-#include <optional>
-#include <string>
-#include <vector>
-
 #include "core/layout.h"
 #include "mem/timing.h"
 
 namespace pcmap {
-
-/**
- * The six evaluated systems (Section V):
- *
- *  | name      | RoW | WoW | word rot. | ECC/PCC rot. |
- *  |-----------|-----|-----|-----------|--------------|
- *  | Baseline  |  -  |  -  |     -     |      -       |
- *  | RoW-NR    |  x  |  -  |     -     |      -       |
- *  | WoW-NR    |  -  |  x  |     -     |      -       |
- *  | RWoW-NR   |  x  |  x  |     -     |      -       |
- *  | RWoW-RD   |  x  |  x  |     x     |      -       |
- *  | RWoW-RDE  |  x  |  x  |     x     |      x       |
- */
-enum class SystemMode
-{
-    Baseline,
-    RoW_NR,
-    WoW_NR,
-    RWoW_NR,
-    RWoW_RD,
-    RWoW_RDE,
-};
-
-/** Human-readable name of a system mode (matches the paper's labels). */
-const char *systemModeName(SystemMode mode);
-
-/** Comma-separated list of all mode labels (for error messages). */
-std::string systemModeNames();
-
-/**
- * Parse a mode from its systemModeName() label ("RWoW-RDE"),
- * case-insensitively; also accepts '_' for '-' so shell-friendly
- * spellings work.  nullopt on an unknown name.
- */
-std::optional<SystemMode> systemModeFromName(const std::string &name);
-
-/**
- * systemModeFromName() for command lines: fatal()s on an unknown name
- * with a "did you mean" hint.  @p keywords are the caller's extra
- * spellings (e.g. "all"); they join the hint candidates and the list
- * of known names, but are never returned — match them first.
- */
-SystemMode requireSystemMode(const std::string &name,
-                             const std::vector<std::string> &keywords = {});
-
-/** All six modes in the paper's presentation order. */
-inline constexpr SystemMode kAllModes[] = {
-    SystemMode::Baseline, SystemMode::RoW_NR,  SystemMode::WoW_NR,
-    SystemMode::RWoW_NR,  SystemMode::RWoW_RD, SystemMode::RWoW_RDE,
-};
 
 /** Row-buffer management policy. */
 enum class PagePolicy : std::uint8_t
@@ -201,9 +148,6 @@ struct ControllerConfig
 
     /** Build the chip layout implied by this config. */
     ChipLayout layout() const { return ChipLayout(rotation, hasPcc()); }
-
-    /** Preset for one of the paper's six systems. */
-    static ControllerConfig forMode(SystemMode mode);
 
     /** Sanity checks; fatal() on inconsistent settings. */
     void validate() const;

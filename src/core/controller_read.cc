@@ -47,14 +47,12 @@ MemoryController::issueRead(const ReadPlan &plan)
             ranks[loc.rank].closeRow(c, loc.bank);
         });
     }
-    unsigned num_cmds = plan.rowHit ? 1 : 2;
     if (cfg.fineGrained && plan.speculative) {
         // The controller polled the DIMM status register to learn
-        // which chips are busy (Section IV-D1).
-        num_cmds += static_cast<unsigned>(cfg.timing.tStatus);
+        // which chips are busy (Section IV-D1); counted, not timed.
         ++counters.statusPolls;
     }
-    buses.occupy(plan.chips, plan.end, false, num_cmds, now);
+    buses.occupy(plan.chips, plan.end, false);
     irlpTrackers[loc.rank].addOp(now, plan.start, plan.end,
                                  plan.chips & data_mask, false);
 

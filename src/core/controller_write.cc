@@ -222,7 +222,7 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
         buses.occupy(chips,
                      s + cfg.timing.writeColTicks() +
                          cfg.timing.burstTicks(),
-                     true, 2, eventq.now());
+                     true);
         const ChipMask busy_data =
             lineLayout->chipsForWords(line, essential);
         irlpTrackers[loc.rank].addOp(now, s, e, busy_data, true);
@@ -267,9 +267,8 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
     const ChipMask data_chips = lineLayout->chipsForWords(line, essential);
     const unsigned ecc_chip = lineLayout->eccChip(line);
     const unsigned pcc_chip = lineLayout->pccChip(line);
-    // The controller polls the DIMM status register before scheduling.
-    unsigned num_cmds = 2 * chipCount(data_chips) +
-                        static_cast<unsigned>(cfg.timing.tStatus);
+    // The controller polls the DIMM status register before scheduling
+    // (counted, not timed).
     ++counters.statusPolls;
 
     const bool two_step =
@@ -301,7 +300,7 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
         buses.occupy(first,
                      s0 + cfg.timing.writeColTicks() +
                          cfg.timing.burstTicks(),
-                     true, num_cmds + 2, eventq.now());
+                     true);
         irlpTrackers[w_rank].addOp(
             now, s0, e0, static_cast<ChipMask>(1u << step_chips[0]),
             true);
@@ -346,7 +345,7 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
             buses.occupy(chips,
                          s1 + cfg.timing.writeColTicks() +
                              cfg.timing.burstTicks(),
-                         true, 2, eventq.now());
+                         true);
             irlpTrackers[w_rank].addOp(t0, s1, e1, is_pcc ? 0 : chips,
                                        true);
             if (is_pcc) {
@@ -403,7 +402,7 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
         buses.occupy(step1,
                      s1 + cfg.timing.writeColTicks() +
                          cfg.timing.burstTicks(),
-                     true, num_cmds + 2, eventq.now());
+                     true);
 
         // Step 2 (the PCC update) must leave the PCC chip *free*
         // during step 1 so concurrent RoW reads can use it for
@@ -427,7 +426,7 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
             buses.occupy(step2,
                          s2 + cfg.timing.writeColTicks() +
                              cfg.timing.burstTicks(),
-                         true, 2, eventq.now());
+                         true);
             irlpTrackers[w_rank].addOp(t0, s2, e2, 0, true);
             eventq.schedule(e2, [this]() {
                 --inFlight;
@@ -475,7 +474,7 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
     buses.computeWriteWindow(data_chips, lower, s, e);
 
     coalescer->collect(writeQ, loc.rank, loc.bank, s, bankView, group,
-                       occupied, num_cmds, counters);
+                       occupied, counters);
 
     // Multi-round (MLC+) group writes chain their programming rounds
     // as events when the coalescer would pause for reads: only the
@@ -530,7 +529,7 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
     buses.occupy(occupied,
                  s + cfg.timing.writeColTicks() +
                      cfg.timing.burstTicks(),
-                 true, num_cmds, eventq.now());
+                 true);
     if (group.size() > 1) {
         ++counters.wowGroups;
         counters.wowMergedWrites += group.size() - 1;

@@ -1,6 +1,11 @@
 #include "core/policy/controller_policy.h"
 
+#include <algorithm>
 #include <cctype>
+#include <iterator>
+
+#include "sim/config.h"
+#include "sim/log.h"
 
 namespace pcmap {
 
@@ -8,6 +13,12 @@ namespace {
 
 constexpr const char *kValidComponents =
     "base, fg, row, wow, rd, rde";
+
+/** kPaperSystems' names, in its order. */
+constexpr const char *kPresetNames[] = {
+    "Baseline", "RoW-NR", "WoW-NR", "RWoW-NR", "RWoW-RD", "RWoW-RDE",
+};
+static_assert(std::size(kPresetNames) == std::size(kPaperSystems));
 
 std::string
 lowered(const std::string &s)
@@ -19,43 +30,18 @@ lowered(const std::string &s)
     return out;
 }
 
-} // namespace
-
-ControllerPolicy
-ControllerPolicy::forMode(SystemMode mode)
+/** The name of @p p if it is a preset, else nullptr. */
+const char *
+presetName(const ControllerPolicy &p)
 {
-    ControllerPolicy p;
-    switch (mode) {
-      case SystemMode::Baseline:
-        break;
-      case SystemMode::RoW_NR:
-        p.fineGrained = true;
-        p.enableRoW = true;
-        break;
-      case SystemMode::WoW_NR:
-        p.fineGrained = true;
-        p.enableWoW = true;
-        break;
-      case SystemMode::RWoW_NR:
-        p.fineGrained = true;
-        p.enableRoW = true;
-        p.enableWoW = true;
-        break;
-      case SystemMode::RWoW_RD:
-        p.fineGrained = true;
-        p.enableRoW = true;
-        p.enableWoW = true;
-        p.rotation = RotationMode::Data;
-        break;
-      case SystemMode::RWoW_RDE:
-        p.fineGrained = true;
-        p.enableRoW = true;
-        p.enableWoW = true;
-        p.rotation = RotationMode::DataEcc;
-        break;
+    for (std::size_t i = 0; i < std::size(kPaperSystems); ++i) {
+        if (p == kPaperSystems[i])
+            return kPresetNames[i];
     }
-    return p;
+    return nullptr;
 }
+
+} // namespace
 
 ControllerPolicy
 ControllerPolicy::fromConfig(const ControllerConfig &cfg)
@@ -72,6 +58,13 @@ std::optional<ControllerPolicy>
 ControllerPolicy::parse(const std::string &text, std::string *err)
 {
     const std::string canon = lowered(text);
+    std::string name = canon;
+    std::replace(name.begin(), name.end(), '_', '-');
+    for (std::size_t i = 0; i < std::size(kPaperSystems); ++i) {
+        if (name == lowered(kPresetNames[i]))
+            return kPaperSystems[i];
+    }
+
     ControllerPolicy p;
     bool saw_base = false;
     bool saw_rd = false;
@@ -144,6 +137,26 @@ ControllerPolicy::parse(const std::string &text, std::string *err)
     return p;
 }
 
+ControllerPolicy
+ControllerPolicy::require(const std::string &text,
+                          const std::vector<std::string> &keywords)
+{
+    std::string err;
+    if (const std::optional<ControllerPolicy> p = parse(text, &err))
+        return *p;
+    if (text.find('+') != std::string::npos)
+        fatal(err);
+    std::vector<std::string> known(std::begin(kPresetNames),
+                                   std::end(kPresetNames));
+    known.insert(known.end(), keywords.begin(), keywords.end());
+    std::string summary = "known: ";
+    for (const std::string &k : known)
+        summary += k + ", ";
+    summary += "or a '+' composition of ";
+    summary += kValidComponents;
+    fatalUnknown("unknown system mode", text, known, summary);
+}
+
 std::string
 ControllerPolicy::composition() const
 {
@@ -176,14 +189,17 @@ ControllerPolicy::composition() const
     return s;
 }
 
-std::optional<SystemMode>
-ControllerPolicy::presetMode() const
+bool
+ControllerPolicy::isPreset() const
 {
-    for (const SystemMode mode : kAllModes) {
-        if (*this == forMode(mode))
-            return mode;
-    }
-    return std::nullopt;
+    return presetName(*this) != nullptr;
+}
+
+std::string
+ControllerPolicy::label() const
+{
+    const char *name = presetName(*this);
+    return name ? name : composition();
 }
 
 void

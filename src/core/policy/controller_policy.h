@@ -1,7 +1,6 @@
 /**
  * @file
- * ControllerPolicy: the composable replacement for the closed
- * SystemMode matrix.
+ * ControllerPolicy: the one name of a system configuration.
  *
  * A policy names which of the three pluggable controller interfaces
  * get the PCMap treatment — the RoW access scheduler, the WoW write
@@ -18,10 +17,10 @@
  *  | rd        | rotate data words (lineAddr mod 8)                  |
  *  | rde       | rotate data+ECC+PCC (lineAddr mod 10, implies fg)   |
  *
- * The paper's six systems remain canonical presets: every SystemMode
- * maps to a composition and every preset-equivalent composition maps
- * back, so "mode=RWoW-RDE" and "policy=row+wow+rde" are the same
- * system, byte for byte.
+ * The six systems evaluated in Section V are named presets of this
+ * grammar (the presets namespace below), so "RWoW-RDE" and
+ * "row+wow+rde" parse to the same policy and run the same system,
+ * byte for byte.
  */
 
 #ifndef PCMAP_CORE_POLICY_CONTROLLER_POLICY_H
@@ -30,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/controller_config.h"
 #include "core/policy/access_scheduler.h"
@@ -46,42 +46,43 @@ struct ControllerPolicy
     bool enableWoW = false;
     RotationMode rotation = RotationMode::None;
 
-    /** The policy equivalent to one of the paper's six presets. */
-    static ControllerPolicy forMode(SystemMode mode);
-
     /** The policy a fully-populated config implies. */
     static ControllerPolicy fromConfig(const ControllerConfig &cfg);
 
     /**
-     * Parse a '+'-separated composition ("row+wow+rde"), case-
-     * insensitive.  On failure returns nullopt and, when @p err is
+     * Parse a preset name ("RWoW-RDE"; case-insensitive, '_' for '-')
+     * or a '+'-separated composition ("row+wow+rde", case-
+     * insensitive).  On failure returns nullopt and, when @p err is
      * non-null, stores a message naming the offending component and
      * listing the valid ones.
      */
     static std::optional<ControllerPolicy>
     parse(const std::string &text, std::string *err = nullptr);
 
+    /**
+     * parse() for command lines: fatal() on failure.  A lone unknown
+     * name gets a "did you mean" hint among the preset names and
+     * @p keywords, the caller's extra spellings (e.g. "all"), which
+     * it matches before calling.
+     */
+    static ControllerPolicy
+    require(const std::string &text,
+            const std::vector<std::string> &keywords = {});
+
     /** Canonical composition string ("base", "row+wow+rde", ...). */
     std::string composition() const;
 
-    /** The preset this policy reproduces, if it is one of the six. */
-    std::optional<SystemMode> presetMode() const;
+    /** True when this policy is one of the paper's six systems. */
+    bool isPreset() const;
+
+    /** The preset's name ("RWoW-RDE") if isPreset(), else composition(). */
+    std::string label() const;
 
     /** Overwrite the mechanism switches of @p cfg with this policy. */
     void applyTo(ControllerConfig &cfg) const;
 
     /** True when the mechanism switches match. */
-    bool operator==(const ControllerPolicy &other) const
-    {
-        return fineGrained == other.fineGrained &&
-               enableRoW == other.enableRoW &&
-               enableWoW == other.enableWoW &&
-               rotation == other.rotation;
-    }
-    bool operator!=(const ControllerPolicy &other) const
-    {
-        return !(*this == other);
-    }
+    constexpr bool operator==(const ControllerPolicy &) const = default;
 
     // --- Policy-object factories -------------------------------------
     /** The line layout this policy's rotation implies. */
@@ -96,6 +97,43 @@ struct ControllerPolicy
     static std::unique_ptr<WriteCoalescer>
     makeCoalescer(const ControllerConfig &cfg, const AddressMapper &mapper,
                   const LineLayout &layout, BackingStore &store);
+};
+
+/**
+ * The six evaluated systems (Section V):
+ *
+ *  | name      | RoW | WoW | word rot. | ECC/PCC rot. | composition |
+ *  |-----------|-----|-----|-----------|--------------|-------------|
+ *  | Baseline  |  -  |  -  |     -     |      -       | base        |
+ *  | RoW-NR    |  x  |  -  |     -     |      -       | row         |
+ *  | WoW-NR    |  -  |  x  |     -     |      -       | wow         |
+ *  | RWoW-NR   |  x  |  x  |     -     |      -       | row+wow     |
+ *  | RWoW-RD   |  x  |  x  |     x     |      -       | row+wow+rd  |
+ *  | RWoW-RDE  |  x  |  x  |     x     |      x       | row+wow+rde |
+ */
+namespace presets {
+inline constexpr ControllerPolicy Baseline{};
+inline constexpr ControllerPolicy RoW_NR{.fineGrained = true,
+                                         .enableRoW = true};
+inline constexpr ControllerPolicy WoW_NR{.fineGrained = true,
+                                         .enableWoW = true};
+inline constexpr ControllerPolicy RWoW_NR{
+    .fineGrained = true, .enableRoW = true, .enableWoW = true};
+inline constexpr ControllerPolicy RWoW_RD{.fineGrained = true,
+                                          .enableRoW = true,
+                                          .enableWoW = true,
+                                          .rotation = RotationMode::Data};
+inline constexpr ControllerPolicy RWoW_RDE{
+    .fineGrained = true,
+    .enableRoW = true,
+    .enableWoW = true,
+    .rotation = RotationMode::DataEcc};
+} // namespace presets
+
+/** The six presets in the paper's presentation order. */
+inline constexpr ControllerPolicy kPaperSystems[] = {
+    presets::Baseline, presets::RoW_NR,  presets::WoW_NR,
+    presets::RWoW_NR,  presets::RWoW_RD, presets::RWoW_RDE,
 };
 
 } // namespace pcmap

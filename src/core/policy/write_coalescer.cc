@@ -33,7 +33,7 @@ PassThroughCoalescer::collect(WriteQueue &write_queue, unsigned rank,
                               unsigned bank, Tick window_start,
                               const BankStateView &banks,
                               std::vector<WriteGroupMember> &group,
-                              ChipMask &occupied, unsigned &num_cmds,
+                              ChipMask &occupied,
                               ControllerStats &stats) const
 {
     (void)write_queue;
@@ -43,7 +43,6 @@ PassThroughCoalescer::collect(WriteQueue &write_queue, unsigned rank,
     (void)banks;
     (void)group;
     (void)occupied;
-    (void)num_cmds;
     (void)stats;
 }
 
@@ -74,8 +73,7 @@ WowCoalescer::collect(WriteQueue &write_queue, unsigned rank,
                       unsigned bank, Tick window_start,
                       const BankStateView &banks,
                       std::vector<WriteGroupMember> &group,
-                      ChipMask &occupied, unsigned &num_cmds,
-                      ControllerStats &stats) const
+                      ChipMask &occupied, ControllerStats &stats) const
 {
     const std::size_t scan_depth =
         cfg.perBankWriteQueues
@@ -134,7 +132,6 @@ WowCoalescer::collect(WriteQueue &write_queue, unsigned rank,
         stats.essentialWordsSum += m.nEssential;
         ++stats.essentialHist[m.nEssential];
         occupied |= cchips;
-        num_cmds += 2 * chipCount(cchips);
         group.push_back(std::move(m));
         PCMAP_OBS_TRACE(traceRec, obs::TracePoint::WowAccept,
                         window_start, 0, cline, cchips, group.size(),

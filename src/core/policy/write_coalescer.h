@@ -119,14 +119,13 @@ class WriteCoalescer
      * Admit further queued writes into the head write's service
      * window starting at @p window_start on (@p rank, @p bank).
      * Admitted entries are removed from @p write_queue and appended
-     * to @p group; @p occupied accumulates their chips and
-     * @p num_cmds their command-bus cost.
+     * to @p group; @p occupied accumulates their chips.
      */
     virtual void collect(WriteQueue &write_queue, unsigned rank,
                          unsigned bank, Tick window_start,
                          const BankStateView &banks,
                          std::vector<WriteGroupMember> &group,
-                         ChipMask &occupied, unsigned &num_cmds,
+                         ChipMask &occupied,
                          ControllerStats &stats) const = 0;
 
     /**
@@ -179,7 +178,7 @@ class PassThroughCoalescer final : public WriteCoalescer
     void collect(WriteQueue &write_queue, unsigned rank, unsigned bank,
                  Tick window_start, const BankStateView &banks,
                  std::vector<WriteGroupMember> &group, ChipMask &occupied,
-                 unsigned &num_cmds, ControllerStats &stats) const override;
+                 ControllerStats &stats) const override;
 };
 
 /**
@@ -201,7 +200,7 @@ class WowCoalescer final : public WriteCoalescer
     void collect(WriteQueue &write_queue, unsigned rank, unsigned bank,
                  Tick window_start, const BankStateView &banks,
                  std::vector<WriteGroupMember> &group, ChipMask &occupied,
-                 unsigned &num_cmds, ControllerStats &stats) const override;
+                 ControllerStats &stats) const override;
 };
 
 /** Factory: the coalescer implied by @p cfg (WoW on/off). */

@@ -14,37 +14,11 @@
 namespace pcmap {
 
 ControllerConfig
-SystemConfig::controllerConfig() const
+SystemConfig::controllerConfig(std::uint64_t footprint_lines_hint) const
 {
-    ControllerConfig mc = ControllerConfig::forMode(mode);
-    if (!policy.empty()) {
-        std::string err;
-        const std::optional<ControllerPolicy> p =
-            ControllerPolicy::parse(policy, &err);
-        if (!p)
-            fatal("policy: ", err);
-        p->applyTo(mc);
-    }
-    mc.timing = timing;
+    ControllerConfig mc = controller;
     mc.banksPerRank = geometry.banksPerRank;
-    mc.readQueueCap = readQueueCap;
-    mc.writeQueueCap = writeQueueCap;
-    mc.drainHighWatermark = drainHighWatermark;
-    mc.drainLowWatermark = drainLowWatermark;
-    mc.modelCodeUpdateTraffic = modelCodeUpdateTraffic;
-    mc.modelVerifyTraffic = modelVerifyTraffic;
-    mc.serveReadsDuringDrain = serveReadsDuringDrain;
-    mc.enableTwoStep = enableTwoStep;
-    mc.rowMultiWordWrites = rowMultiWordWrites;
-    mc.pagePolicy = pagePolicy;
-    mc.readScheduling = readScheduling;
-    mc.perBankWriteQueues = perBankWriteQueues;
-    mc.enableWriteCancellation = enableWriteCancellation;
-    mc.enablePreset = enablePreset;
-    mc.codeUpdateBacklogCap = codeUpdateBacklogCap;
-    mc.specReadBufferCap = specReadBufferCap;
-    mc.wowMaxMerge = wowMaxMerge;
-    mc.wowScanDepth = wowScanDepth;
+    mc.footprintLinesHint = footprint_lines_hint;
     mc.validate();
     return mc;
 }
@@ -96,8 +70,7 @@ System::System(const SystemConfig &config,
     if (spec.sharedAddressSpace)
         footprint_hint = std::min(shared_footprint, shared_writes);
 
-    ControllerConfig mc_cfg = cfg.controllerConfig();
-    mc_cfg.footprintLinesHint = footprint_hint;
+    const ControllerConfig mc_cfg = cfg.controllerConfig(footprint_hint);
     mem = std::make_unique<MainMemory>(mc_cfg, cfg.geometry, eventq);
 
     // All request sources drive one port; the stack composes
@@ -331,7 +304,7 @@ System::run()
 
     SystemResults res;
     res.workload = spec.name;
-    res.mode = cfg.mode;
+    res.system = ControllerPolicy::fromConfig(cfg.controller);
     res.simTicks = end;
 
     // --- Cores ---
@@ -478,7 +451,7 @@ line(std::ostream &os, const char *name, double value, const char *unit,
 void
 dumpResults(const SystemResults &r, std::ostream &os)
 {
-    os << "=== " << r.workload << " on " << systemModeName(r.mode)
+    os << "=== " << r.workload << " on " << r.system.label()
        << " ===\n";
     line(os, "simulated.time", static_cast<double>(r.simTicks) / 1e9,
          "ms", "wall time inside the simulation");

@@ -17,6 +17,7 @@
 #include "cache/tier.h"
 #include "core/controller_config.h"
 #include "core/memory_system.h"
+#include "core/policy/controller_policy.h"
 #include "cpu/core_model.h"
 #include "fabric/fabric.h"
 #include "obs/obs_config.h"
@@ -38,40 +39,19 @@ class TenantStream;
 /** Full parameterization of a simulated system. */
 struct SystemConfig
 {
-    SystemMode mode = SystemMode::Baseline;
-    /**
-     * Composed controller policy ("row+wow+rde"); when non-empty its
-     * mechanism switches replace the mode preset's (see
-     * ControllerPolicy::parse for the component grammar).
-     */
-    std::string policy;
     MemGeometry geometry{};   ///< 4 channels, 8 GB by default.
-    PcmTiming timing{};       ///< PCM device timing (sweepable).
     CoreConfig core{};        ///< Core model parameters.
     unsigned numCores = 8;
     std::uint64_t instructionsPerCore = 2'000'000;
     std::uint64_t seed = 1;
 
-    /** Optional overrides applied on top of the mode preset. */
-    unsigned readQueueCap = 8;
-    unsigned writeQueueCap = 32;
-    double drainHighWatermark = 0.8;
-    double drainLowWatermark = 0.25;
-    /** Ablation switches (see ControllerConfig). */
-    bool modelCodeUpdateTraffic = true;
-    bool modelVerifyTraffic = true;
-    bool serveReadsDuringDrain = true;
-    bool enableTwoStep = true;
-    bool rowMultiWordWrites = false;
-    PagePolicy pagePolicy = PagePolicy::Open;
-    ReadScheduling readScheduling = ReadScheduling::FrFcfs;
-    bool perBankWriteQueues = false;
-    bool enableWriteCancellation = false;
-    bool enablePreset = false;
-    unsigned codeUpdateBacklogCap = 16;
-    unsigned specReadBufferCap = 8;
-    unsigned wowMaxMerge = 8;
-    unsigned wowScanDepth = 32;
+    /**
+     * Every channel's controller: its mechanism switches are the
+     * system (ControllerPolicy::applyTo sets them), its timing the
+     * PCM device.  banksPerRank and footprintLinesHint are derived
+     * (see controllerConfig()).
+     */
+    ControllerConfig controller{};
 
     /**
      * Multi-tenant request fabric (front-end streams + link).  Off by
@@ -95,15 +75,19 @@ struct SystemConfig
      */
     obs::ObsConfig obs{};
 
-    /** Build the controller configuration implied by this system. */
-    ControllerConfig controllerConfig() const;
+    /**
+     * controller with banksPerRank taken from geometry and the
+     * host-side @p footprint_lines_hint; fatal() when inconsistent.
+     */
+    ControllerConfig
+    controllerConfig(std::uint64_t footprint_lines_hint) const;
 };
 
 /** Metrics harvested from one run (aggregated over cores/channels). */
 struct SystemResults
 {
     std::string workload;
-    SystemMode mode = SystemMode::Baseline;
+    ControllerPolicy system;
 
     std::vector<double> coreIpc;
     double ipcSum = 0.0; ///< system throughput: sum of per-core IPC
@@ -251,7 +235,7 @@ class System
     EventHandle epochEvent;
 };
 
-/** Convenience: build and run one (mode, workload) point. */
+/** Convenience: build and run one (system, workload) point. */
 SystemResults runWorkload(const SystemConfig &cfg,
                           const std::string &workload_name);
 

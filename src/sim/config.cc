@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "sim/log.h"
 
@@ -118,6 +119,17 @@ Config::getUint(const std::string &key, std::uint64_t fallback) const
     if (parsed < 0)
         fatal("config key '", key, "' must be non-negative");
     return static_cast<std::uint64_t>(parsed);
+}
+
+unsigned
+Config::getUnsigned(const std::string &key, unsigned fallback) const
+{
+    const std::uint64_t v = getUint(key, fallback);
+    if (v > std::numeric_limits<unsigned>::max()) {
+        fatal("config key '", key, "': ", v, " exceeds the maximum ",
+              std::numeric_limits<unsigned>::max());
+    }
+    return static_cast<unsigned>(v);
 }
 
 double

@@ -45,6 +45,8 @@ class Config
                         std::int64_t fallback) const;
     std::uint64_t getUint(const std::string &key,
                           std::uint64_t fallback) const;
+    /** getUint() for 32-bit settings: fatal() above UINT_MAX. */
+    unsigned getUnsigned(const std::string &key, unsigned fallback) const;
     double getDouble(const std::string &key, double fallback) const;
     bool getBool(const std::string &key, bool fallback) const;
 

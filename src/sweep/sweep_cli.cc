@@ -41,19 +41,30 @@ parseWorkloads(const std::string &arg)
     return names;
 }
 
-std::vector<SystemMode>
+namespace {
+
+/** One system per comma-separated name or composition in @p arg. */
+std::vector<ControllerPolicy>
+parseSystems(const std::string &arg,
+             const std::vector<std::string> &keywords)
+{
+    std::vector<ControllerPolicy> systems;
+    for (const std::string &tok : splitCommas(arg))
+        systems.push_back(ControllerPolicy::require(tok, keywords));
+    return systems;
+}
+
+} // namespace
+
+std::vector<ControllerPolicy>
 parseModes(const std::string &arg)
 {
     if (arg == "all")
-        return {std::begin(kAllModes), std::end(kAllModes)};
-    if (arg == "pcmap") {
-        return {SystemMode::RoW_NR, SystemMode::WoW_NR,
-                SystemMode::RWoW_NR, SystemMode::RWoW_RD,
-                SystemMode::RWoW_RDE};
-    }
-    std::vector<SystemMode> modes;
-    for (const std::string &name : splitCommas(arg))
-        modes.push_back(requireSystemMode(name, {"all", "pcmap"}));
+        return {std::begin(kPaperSystems), std::end(kPaperSystems)};
+    if (arg == "pcmap")
+        return {std::begin(kPaperSystems) + 1, std::end(kPaperSystems)};
+    const std::vector<ControllerPolicy> modes =
+        parseSystems(arg, {"all", "pcmap"});
     if (modes.empty())
         fatal("modes= needs at least one mode");
     return modes;
@@ -76,9 +87,8 @@ obsFromConfig(const Config &args)
         fatal("traceCap= must be at least 2 events");
     out.obs.traceCapacity = static_cast<std::size_t>(cap);
     out.obs.attrib = args.getUint("attrib", 0) != 0;
-    const std::uint64_t exemplars =
-        args.getUint("attribK", out.obs.attribExemplars);
-    out.obs.attribExemplars = static_cast<unsigned>(exemplars);
+    out.obs.attribExemplars =
+        args.getUnsigned("attribK", out.obs.attribExemplars);
     if (out.pathPrefix.empty()) {
         // Timeline/attribution-only runs still need somewhere to
         // write; without a prefix attribution flows into the stats
@@ -95,15 +105,7 @@ obsFromConfig(const Config &args)
 std::vector<ControllerPolicy>
 parsePolicies(const std::string &arg)
 {
-    std::vector<ControllerPolicy> policies;
-    for (const std::string &tok : splitCommas(arg)) {
-        std::string err;
-        const std::optional<ControllerPolicy> p =
-            ControllerPolicy::parse(tok, &err);
-        if (!p)
-            fatal("policy=: ", err);
-        policies.push_back(*p);
-    }
+    const std::vector<ControllerPolicy> policies = parseSystems(arg, {});
     if (policies.empty())
         fatal("policy= needs at least one composition");
     return policies;
@@ -168,8 +170,7 @@ fabric::FabricConfig
 fabricFromConfig(const Config &args)
 {
     fabric::FabricConfig fab;
-    const auto n =
-        static_cast<unsigned>(args.getUint("tenants", 0));
+    const unsigned n = args.getUnsigned("tenants", 0);
     if (n == 0)
         return fab; // fabric off; every other key is ignored
     fab.tenants.resize(n);
@@ -221,8 +222,7 @@ fabricFromConfig(const Config &args)
     fab.arb = fabric::linkArbFromName(args.getString("arb", "prio"));
     fab.linkGbps = args.getDouble("linkGbps", 0.0);
     fab.linkNs = args.getDouble("linkNs", 0.0);
-    fab.queueCap =
-        static_cast<unsigned>(args.getUint("linkQueue", fab.queueCap));
+    fab.queueCap = args.getUnsigned("linkQueue", fab.queueCap);
     return fab;
 }
 
@@ -234,12 +234,10 @@ tierFromConfig(const Config &args)
     if (!tier.enabled())
         return tier; // tier off; every other tier key is ignored
     tier.hitTicks = args.getUint("tierHitNs", 40) * 1000ull;
-    tier.mshrCap =
-        static_cast<unsigned>(args.getUint("tierMshr", tier.mshrCap));
-    tier.writebackBatch = static_cast<unsigned>(
-        args.getUint("tierWbBatch", tier.writebackBatch));
-    tier.wbBufferCap = static_cast<unsigned>(
-        args.getUint("tierWbBuffer", tier.wbBufferCap));
+    tier.mshrCap = args.getUnsigned("tierMshr", tier.mshrCap);
+    tier.writebackBatch =
+        args.getUnsigned("tierWbBatch", tier.writebackBatch);
+    tier.wbBufferCap = args.getUnsigned("tierWbBuffer", tier.wbBufferCap);
     tier.validate();
     return tier;
 }
@@ -272,22 +270,20 @@ specFromConfig(const Config &args)
 {
     SweepSpec spec;
     spec.workloads = parseWorkloads(args.requireString("workloads"));
-    // A lone policy= replaces the default mode axis; an explicit
-    // modes= combines with it (modes first, then policies).
+    // A lone policy= replaces the default six systems; an explicit
+    // modes= combines with it.  Presets go first, then compositions,
+    // each in the order given.
+    spec.systems.clear();
     if (args.has("modes") || !args.has("policy"))
-        spec.modes = parseModes(args.getString("modes", "all"));
-    else
-        spec.modes.clear();
+        spec.systems = parseModes(args.getString("modes", "all"));
     if (args.has("policy")) {
-        for (const ControllerPolicy &p :
-             parsePolicies(args.requireString("policy"))) {
-            // Preset-equivalent compositions join the mode axis so
-            // policy=row+wow+rde and modes=RWoW-RDE are the same
-            // sweep, byte for byte.
-            if (const auto preset = p.presetMode())
-                spec.modes.push_back(*preset);
-            else
-                spec.policies.push_back(p.composition());
+        const std::vector<ControllerPolicy> policies =
+            parsePolicies(args.requireString("policy"));
+        for (const bool presets : {true, false}) {
+            for (const ControllerPolicy &p : policies) {
+                if (p.isPreset() == presets)
+                    spec.systems.push_back(p);
+            }
         }
     }
     spec.seeds = parseSeeds(args.getString("seeds", "1"));
@@ -295,8 +291,8 @@ specFromConfig(const Config &args)
         spec.orgs = parseOrgs(args.requireString("org"));
     spec.configs[0].base.instructionsPerCore =
         args.getUint("insts", 200'000);
-    spec.configs[0].base.numCores = static_cast<unsigned>(
-        args.getUint("cores", spec.configs[0].base.numCores));
+    spec.configs[0].base.numCores =
+        args.getUnsigned("cores", spec.configs[0].base.numCores);
     spec.configs[0].base.fabric = fabricFromConfig(args);
     spec.configs[0].base.tier = tierFromConfig(args);
     return spec;

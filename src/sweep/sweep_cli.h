@@ -41,15 +41,15 @@ std::vector<std::string> splitCommas(const std::string &text);
 std::vector<std::string> parseWorkloads(const std::string &arg);
 
 /**
- * Mode axis: a comma list of systemModeName() labels, or "all" (the
- * six evaluated systems) or "pcmap" (the five PCMap systems).
- * fatal() on an unknown name or empty list.
+ * System axis from modes=: a comma list of preset names
+ * ("RWoW-RDE") or '+' compositions, or "all" (the six evaluated
+ * systems) or "pcmap" (the five PCMap systems).  fatal() on an
+ * unknown name — with a "did you mean" hint — and on an empty list.
  */
-std::vector<SystemMode> parseModes(const std::string &arg);
+std::vector<ControllerPolicy> parseModes(const std::string &arg);
 
 /**
- * Policy axis: a comma list of '+'-composed controller policies
- * ("row+wow+rde", components base|fg|row|wow|rd|rde).  fatal() on an
+ * System axis from policy=: modes= without the groups.  fatal() on an
  * unknown or conflicting component — the message names it and lists
  * the valid ones — and on an empty list.
  */
@@ -75,11 +75,12 @@ std::vector<DeviceOrg> parseOrgs(const std::string &arg);
  * Build the sweep described by the common axis keys: workloads=
  * (required), modes=, policy=, seeds=, org=, insts=, cores=.
  *
- * policy= entries equivalent to one of the six presets join the mode
- * axis under the preset's name, so `policy=row+wow+rde` and
- * `modes=RWoW-RDE` produce byte-identical reports; the rest land on
- * the policy axis.  When only policy= is given it replaces the
- * default mode axis rather than adding all six presets to it.
+ * modes= and policy= both feed the system axis: modes= entries
+ * first, then policy='s presets, then its other compositions.  A
+ * preset is the same system under either spelling, so
+ * `policy=row+wow+rde` and `modes=RWoW-RDE` produce byte-identical
+ * reports.  When only policy= is given it replaces the default six
+ * systems rather than adding to them.
  */
 SweepSpec specFromConfig(const Config &args);
 

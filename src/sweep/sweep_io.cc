@@ -148,7 +148,8 @@ stableSerialize(const SweepSpec &spec)
            << c.geometry.banksPerRank << "," << c.geometry.rowBytes
            << "," << c.geometry.capacityBytes << ","
            << static_cast<int>(c.geometry.interleave) << "\n";
-        const PcmTiming &t = c.timing;
+        const ControllerConfig &mc = c.controller;
+        const PcmTiming &t = mc.timing;
         os << "timing=" << t.memClock.periodTicks() << "," << t.tRCD
            << "," << t.tCL << "," << t.tWL << "," << t.tCCD << ","
            << t.tWTR << "," << t.tRTP << "," << t.tRP << ","
@@ -162,26 +163,34 @@ stableSerialize(const SweepSpec &spec)
            << cc.assumeAlwaysFaulty << "\n";
         os << "system=" << c.numCores << "," << c.instructionsPerCore
            << "\n";
-        os << "queues=" << c.readQueueCap << "," << c.writeQueueCap
-           << "," << fmtDouble(c.drainHighWatermark) << ","
-           << fmtDouble(c.drainLowWatermark) << ","
-           << c.perBankWriteQueues << "\n";
-        os << "switches=" << c.modelCodeUpdateTraffic << ","
-           << c.modelVerifyTraffic << "," << c.serveReadsDuringDrain
-           << "," << c.enableTwoStep << "," << c.rowMultiWordWrites
-           << "," << static_cast<int>(c.pagePolicy) << ","
-           << static_cast<int>(c.readScheduling) << ","
-           << c.enableWriteCancellation << "," << c.enablePreset
+        os << "queues=" << mc.readQueueCap << "," << mc.writeQueueCap
+           << "," << fmtDouble(mc.drainHighWatermark) << ","
+           << fmtDouble(mc.drainLowWatermark) << ","
+           << mc.perBankWriteQueues << "\n";
+        os << "switches=" << mc.modelCodeUpdateTraffic << ","
+           << mc.modelVerifyTraffic << "," << mc.serveReadsDuringDrain
+           << "," << mc.enableTwoStep << "," << mc.rowMultiWordWrites
+           << "," << static_cast<int>(mc.pagePolicy) << ","
+           << static_cast<int>(mc.readScheduling) << ","
+           << mc.enableWriteCancellation << "," << mc.enablePreset
            << "\n";
-        os << "caps=" << c.codeUpdateBacklogCap << ","
-           << c.specReadBufferCap << "," << c.wowMaxMerge << ","
-           << c.wowScanDepth << "\n";
+        os << "caps=" << mc.codeUpdateBacklogCap << ","
+           << mc.specReadBufferCap << "," << mc.wowMaxMerge << ","
+           << mc.wowScanDepth << "\n";
         // Conditional, like the policies= line below: a variant on
         // the default single-round SLC organization serializes as it
         // always did, keeping pre-org fingerprints valid.
-        if (c.timing.org != DeviceOrg::Slc || c.timing.writeRounds != 1) {
-            os << "org=" << deviceOrgName(c.timing.org) << ","
-               << c.timing.writeRounds << "\n";
+        if (t.org != DeviceOrg::Slc || t.writeRounds != 1) {
+            os << "org=" << deviceOrgName(t.org) << "," << t.writeRounds
+               << "\n";
+        }
+        // Same append-only rule for the write-cancellation tuning:
+        // the defaults serialize nothing.
+        const ControllerConfig defaults;
+        if (mc.maxWriteCancels != defaults.maxWriteCancels ||
+            mc.cancelMinRemainingFrac != defaults.cancelMinRemainingFrac) {
+            os << "cancel=" << mc.maxWriteCancels << ","
+               << fmtDouble(mc.cancelMinRemainingFrac) << "\n";
         }
         // Same append-only rule for the request fabric: a disabled
         // fabric (no tenants) serializes nothing.
@@ -207,9 +216,17 @@ stableSerialize(const SweepSpec &spec)
                << "\n";
         }
     }
+    // The system axis serializes as the two lines it had when presets
+    // and compositions were separate axes, so their fingerprints stay
+    // valid: modes= lists the leading presets by name, policies= the
+    // rest (from the first composition on), appended only when
+    // present.
+    std::size_t lead = 0;
+    while (lead < spec.systems.size() && spec.systems[lead].isPreset())
+        ++lead;
     os << "modes=";
-    for (std::size_t i = 0; i < spec.modes.size(); ++i)
-        os << (i ? "," : "") << systemModeName(spec.modes[i]);
+    for (std::size_t i = 0; i < lead; ++i)
+        os << (i ? "," : "") << spec.systems[i].label();
     os << "\nworkloads=";
     for (std::size_t i = 0; i < spec.workloads.size(); ++i)
         os << (i ? "," : "") << spec.workloads[i];
@@ -217,12 +234,10 @@ stableSerialize(const SweepSpec &spec)
     for (std::size_t i = 0; i < spec.seeds.size(); ++i)
         os << (i ? "," : "") << spec.seeds[i];
     os << "\n";
-    // Appended only when present so every fingerprint computed before
-    // the policy axis existed stays valid (shard partials carry it).
-    if (!spec.policies.empty()) {
+    if (lead < spec.systems.size()) {
         os << "policies=";
-        for (std::size_t i = 0; i < spec.policies.size(); ++i)
-            os << (i ? "," : "") << spec.policies[i];
+        for (std::size_t i = lead; i < spec.systems.size(); ++i)
+            os << (i > lead ? "," : "") << spec.systems[i].label();
         os << "\n";
     }
     // Same append-only rule for the device-organization axis: the

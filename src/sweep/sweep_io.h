@@ -27,8 +27,9 @@ std::string toJsonLine(const RunRecord &rec);
  * Canonical text form of a spec: every axis and every result-relevant
  * SystemConfig field of every config variant, in a fixed order with
  * fixed number formatting.  Two specs serialize identically iff they
- * describe the same sweep.  The per-point overridden fields
- * (config.mode, config.seed) are deliberately excluded — they are a
+ * describe the same sweep.  The per-point overridden fields (the
+ * controller's mechanism switches, config.seed) are deliberately
+ * excluded — they are a
  * function of the axes, and including them would make two equivalent
  * specs fingerprint differently.
  */

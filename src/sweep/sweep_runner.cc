@@ -31,24 +31,6 @@ SweepReport::failures() const
 }
 
 const RunRecord *
-SweepReport::find(const std::string &config, SystemMode mode,
-                  const std::string &workload,
-                  std::uint64_t base_seed) const
-{
-    for (const RunRecord &r : rows) {
-        // Policy-axis rows carry their variant's base mode in
-        // point.mode; only label-less (mode-axis) rows match here.
-        if (r.point.configName == config && r.point.mode == mode &&
-            r.point.policy.empty() &&
-            r.point.workload == workload &&
-            r.point.baseSeed == base_seed) {
-            return &r;
-        }
-    }
-    return nullptr;
-}
-
-const RunRecord *
 SweepReport::find(const std::string &config, const std::string &label,
                   const std::string &workload,
                   std::uint64_t base_seed) const

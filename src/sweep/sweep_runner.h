@@ -45,13 +45,8 @@ struct SweepReport
     std::vector<RunRecord> rows;
 
     std::size_t failures() const;
-    /** Row for (configName, mode, workload, baseSeed) among the
-     *  mode-axis rows; nullptr if absent. */
-    const RunRecord *find(const std::string &config, SystemMode mode,
-                          const std::string &workload,
-                          std::uint64_t base_seed) const;
-    /** Row whose system label (mode name or policy composition)
-     *  matches; nullptr if absent. */
+    /** Row whose point label (SweepPoint::label()) matches; nullptr
+     *  if absent. */
     const RunRecord *find(const std::string &config,
                           const std::string &label,
                           const std::string &workload,

@@ -9,7 +9,7 @@ std::size_t
 SweepSpec::size() const
 {
     return orgs.size() * configs.size() *
-           (modes.size() + policies.size()) * workloads.size() *
+           systems.size() * workloads.size() *
            seeds.size();
 }
 
@@ -18,9 +18,8 @@ SweepSpec::expand() const
 {
     if (configs.empty())
         fatal("sweep spec has an empty config axis");
-    if (modes.empty() && policies.empty())
-        fatal("sweep spec has an empty system axis "
-              "(no modes and no policies)");
+    if (systems.empty())
+        fatal("sweep spec has an empty system axis");
     if (workloads.empty())
         fatal("sweep spec has an empty workload axis");
     if (seeds.empty())
@@ -35,42 +34,30 @@ SweepSpec::expand() const
     // seeds) before any denser organization's points.
     for (const DeviceOrg org : orgs) {
         for (const ConfigVariant &variant : configs) {
-            // Mode presets and composed policies share one system axis;
-            // only the composition reaches the config for policy points
-            // (SystemConfig::controllerConfig applies it over the
-            // preset).
-            const auto emit = [&](const SystemMode mode,
-                                  const std::string &policy) {
+            for (const ControllerPolicy &system : systems) {
                 for (const std::string &workload : workloads) {
                     for (const std::uint64_t seed : seeds) {
                         SweepPoint p;
                         p.index = points.size();
                         p.configName = variant.name;
-                        p.mode = mode;
-                        p.policy = policy;
+                        p.system = system;
                         p.workload = workload;
                         p.baseSeed = seed;
                         p.runSeed = Rng::deriveStream(seed, p.index);
                         p.org = org;
                         p.config = variant.base;
+                        ControllerConfig &mc = p.config.controller;
                         // Slc leaves the variant's timing untouched
                         // (it may carry custom array latencies a
                         // withOrg round-trip would clobber).
-                        if (org != DeviceOrg::Slc) {
-                            p.config.timing =
-                                variant.base.timing.withOrg(org);
-                        }
-                        p.config.mode = mode;
-                        p.config.policy = policy;
+                        if (org != DeviceOrg::Slc)
+                            mc.timing = mc.timing.withOrg(org);
+                        system.applyTo(mc);
                         p.config.seed = p.runSeed;
                         points.push_back(std::move(p));
                     }
                 }
-            };
-            for (const SystemMode mode : modes)
-                emit(mode, "");
-            for (const std::string &policy : policies)
-                emit(variant.base.mode, policy);
+            }
         }
     }
     return points;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Declarative description of a simulation sweep: the cartesian product
- * of config-variant, system-mode, workload, and base-seed axes, each
- * expanded point carrying a deterministically derived per-run seed.
+ * of device-organization, config-variant, system, workload and
+ * base-seed axes, each expanded point carrying a deterministically
+ * derived per-run seed.
  *
  * The expansion order — and therefore every point's index and derived
  * seed — is a pure function of the spec.  Runners may execute points
@@ -34,9 +35,7 @@ struct SweepPoint
     /** Position in the canonical expansion order (stable run ID). */
     std::size_t index = 0;
     std::string configName;
-    SystemMode mode = SystemMode::Baseline;
-    /** Canonical composition when this point rides the policy axis. */
-    std::string policy;
+    ControllerPolicy system;
     std::string workload;
     /** The seed-axis value this point came from. */
     std::uint64_t baseSeed = 1;
@@ -48,13 +47,13 @@ struct SweepPoint
     SystemConfig config{};
 
     /**
-     * Report label: the preset's name, or the composition string —
-     * suffixed "@mlc"/"@tlc"/"@qlc" off the default organization, so
-     * org=slc labels (and every existing report) are unchanged.
+     * Report label: system.label() (the preset's name, or the
+     * composition string), suffixed "@mlc"/"@tlc"/"@qlc" off the
+     * default organization, so org=slc labels are unchanged.
      */
     std::string label() const
     {
-        std::string l = policy.empty() ? systemModeName(mode) : policy;
+        std::string l = system.label();
         if (org != DeviceOrg::Slc) {
             l += '@';
             l += deviceOrgName(org);
@@ -64,23 +63,21 @@ struct SweepPoint
 };
 
 /**
- * The sweep description.  Defaults give the paper's six modes over an
- * empty workload list — fill in at least `workloads` before expanding.
+ * The sweep description.  Defaults give the paper's six systems over
+ * an empty workload list — fill in at least `workloads` before
+ * expanding.
  */
 struct SweepSpec
 {
     /** Config axis; must be non-empty (one "default" entry built in). */
     std::vector<ConfigVariant> configs{ConfigVariant{}};
-    /** Mode axis; defaults to all six evaluated systems. */
-    std::vector<SystemMode> modes{std::begin(kAllModes),
-                                  std::end(kAllModes)};
     /**
-     * Policy axis: canonical composed-policy strings ("row+wow+rde"),
-     * expanded after the mode axis within each config.  Together with
-     * `modes` this forms the system axis; at least one of the two must
-     * be non-empty.
+     * System axis: presets and compositions alike; defaults to the
+     * six evaluated systems.  Each point's controller takes these
+     * mechanism switches over its variant's.
      */
-    std::vector<std::string> policies;
+    std::vector<ControllerPolicy> systems{std::begin(kPaperSystems),
+                                          std::end(kPaperSystems)};
     /** Workload axis (mix or program names; see makeWorkload()). */
     std::vector<std::string> workloads;
     /** Seed axis: base seeds, each expanded against every other axis. */
@@ -100,9 +97,7 @@ struct SweepSpec
 
     /**
      * Expand into the canonical point list (org-major, then config,
-     * then system — modes before policies — then workload, seed).
-     * fatal() when any axis is empty (the system axis needs modes or
-     * policies).
+     * system, workload, seed).  fatal() when any axis is empty.
      */
     std::vector<SweepPoint> expand() const;
 };

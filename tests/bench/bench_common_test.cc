@@ -51,15 +51,14 @@ TEST(HarnessConfig, PolicyKeyAddsNonPresetCompositionsOnly)
     const HarnessConfig hc = parseArgs(std::array<const char *, 1>{
         "policy=fg,row+wow+rde,RD+Row"});
     // row+wow+rde is the RWoW-RDE preset: already a figure column.
-    EXPECT_EQ(hc.policies,
-              (std::vector<std::string>{"fg", "row+rd"}));
-    const auto labels = hc.systemLabels();
+    const auto labels = systemLabels(hc.evaluationSpec({"MP1"}).systems);
     ASSERT_EQ(labels.size(), 8u);
     EXPECT_EQ(labels[0], "Baseline");
     EXPECT_EQ(labels[5], "RWoW-RDE");
     EXPECT_EQ(labels[6], "fg");
     EXPECT_EQ(labels[7], "row+rd");
-    EXPECT_EQ(hc.evaluationSpec({"MP1"}).policies, hc.policies);
+    EXPECT_EQ(systemLabels({presets::Baseline}, DeviceOrg::Tlc),
+              (std::vector<std::string>{"Baseline@tlc"}));
 
     ScopedErrorTrap trap;
     EXPECT_THROW(

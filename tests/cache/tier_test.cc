@@ -406,7 +406,7 @@ runAndExport(const SystemConfig &cfg)
 TEST(TierObs, TracingDoesNotPerturbResults)
 {
     SystemConfig off;
-    off.mode = SystemMode::RWoW_RDE;
+    presets::RWoW_RDE.applyTo(off.controller);
     off.numCores = 4;
     off.instructionsPerCore = 20'000;
     off.seed = 3;
@@ -427,7 +427,7 @@ TEST(TierDeterminism, SweepJsonlIdenticalAcrossThreadCounts)
     sweep::SweepSpec spec;
     spec.workloads = {"MP1"};
     spec.seeds = {1};
-    spec.modes = {SystemMode::Baseline, SystemMode::RWoW_RDE};
+    spec.systems = {presets::Baseline, presets::RWoW_RDE};
     spec.configs[0].base.instructionsPerCore = 15'000;
     spec.configs[0].base.tier =
         cache::tierConfigFromString("dram:64K:4:mac");
@@ -449,7 +449,7 @@ TEST(TierPolicy, MacKeepsDirtyLinesAndCutsPcmWriteTraffic)
     // victims keeps dirty lines resident longer, coalescing more
     // stores per write-back, so the same run emits fewer PCM writes.
     SystemConfig lru;
-    lru.mode = SystemMode::Baseline;
+    presets::Baseline.applyTo(lru.controller);
     lru.numCores = 4;
     lru.instructionsPerCore = 20'000;
     lru.seed = 1;

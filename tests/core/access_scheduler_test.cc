@@ -13,6 +13,7 @@
 #include "core/policy/line_layout.h"
 #include "mem/address.h"
 #include "mem/rank.h"
+#include "paper_systems.h"
 
 namespace pcmap {
 namespace {
@@ -77,7 +78,7 @@ class SchedulerTest : public ::testing::Test
 
     MemGeometry geom{};
     AddressMapper mapper{geom};
-    ControllerConfig cfg = ControllerConfig::forMode(SystemMode::RoW_NR);
+    ControllerConfig cfg = controllerFor(presets::RoW_NR);
     std::uint64_t epoch = 0;
     std::vector<Rank> ranks;
     BankStateView view{ranks, epoch};

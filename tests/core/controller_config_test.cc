@@ -6,14 +6,14 @@
 #include <gtest/gtest.h>
 
 #include "core/controller_config.h"
+#include "paper_systems.h"
 
 namespace pcmap {
 namespace {
 
 TEST(Presets, BaselineIsConventional)
 {
-    const ControllerConfig c =
-        ControllerConfig::forMode(SystemMode::Baseline);
+    const ControllerConfig c = controllerFor(presets::Baseline);
     EXPECT_FALSE(c.enableRoW);
     EXPECT_FALSE(c.enableWoW);
     EXPECT_FALSE(c.fineGrained);
@@ -26,43 +26,43 @@ TEST(Presets, MatchPaperTable)
 {
     struct Expect
     {
-        SystemMode mode;
+        ControllerPolicy system;
         bool row, wow;
         RotationMode rot;
     };
     const Expect table[] = {
-        {SystemMode::RoW_NR, true, false, RotationMode::None},
-        {SystemMode::WoW_NR, false, true, RotationMode::None},
-        {SystemMode::RWoW_NR, true, true, RotationMode::None},
-        {SystemMode::RWoW_RD, true, true, RotationMode::Data},
-        {SystemMode::RWoW_RDE, true, true, RotationMode::DataEcc},
+        {presets::RoW_NR, true, false, RotationMode::None},
+        {presets::WoW_NR, false, true, RotationMode::None},
+        {presets::RWoW_NR, true, true, RotationMode::None},
+        {presets::RWoW_RD, true, true, RotationMode::Data},
+        {presets::RWoW_RDE, true, true, RotationMode::DataEcc},
     };
     for (const Expect &e : table) {
-        const ControllerConfig c = ControllerConfig::forMode(e.mode);
-        EXPECT_EQ(c.enableRoW, e.row) << systemModeName(e.mode);
-        EXPECT_EQ(c.enableWoW, e.wow) << systemModeName(e.mode);
-        EXPECT_EQ(c.rotation, e.rot) << systemModeName(e.mode);
-        EXPECT_TRUE(c.fineGrained) << systemModeName(e.mode);
-        EXPECT_TRUE(c.hasPcc()) << systemModeName(e.mode);
+        const ControllerConfig c = controllerFor(e.system);
+        EXPECT_EQ(c.enableRoW, e.row) << e.system.label();
+        EXPECT_EQ(c.enableWoW, e.wow) << e.system.label();
+        EXPECT_EQ(c.rotation, e.rot) << e.system.label();
+        EXPECT_TRUE(c.fineGrained) << e.system.label();
+        EXPECT_TRUE(c.hasPcc()) << e.system.label();
         c.validate();
     }
 }
 
 TEST(Presets, NamesMatchPaperLabels)
 {
-    EXPECT_STREQ(systemModeName(SystemMode::Baseline), "Baseline");
-    EXPECT_STREQ(systemModeName(SystemMode::RoW_NR), "RoW-NR");
-    EXPECT_STREQ(systemModeName(SystemMode::WoW_NR), "WoW-NR");
-    EXPECT_STREQ(systemModeName(SystemMode::RWoW_NR), "RWoW-NR");
-    EXPECT_STREQ(systemModeName(SystemMode::RWoW_RD), "RWoW-RD");
-    EXPECT_STREQ(systemModeName(SystemMode::RWoW_RDE), "RWoW-RDE");
+    EXPECT_EQ(presets::Baseline.label(), "Baseline");
+    EXPECT_EQ(presets::RoW_NR.label(), "RoW-NR");
+    EXPECT_EQ(presets::WoW_NR.label(), "WoW-NR");
+    EXPECT_EQ(presets::RWoW_NR.label(), "RWoW-NR");
+    EXPECT_EQ(presets::RWoW_RD.label(), "RWoW-RD");
+    EXPECT_EQ(presets::RWoW_RDE.label(), "RWoW-RDE");
 }
 
 TEST(Presets, AllModesListIsComplete)
 {
-    EXPECT_EQ(std::size(kAllModes), 6u);
-    EXPECT_EQ(kAllModes[0], SystemMode::Baseline);
-    EXPECT_EQ(kAllModes[5], SystemMode::RWoW_RDE);
+    EXPECT_EQ(std::size(kPaperSystems), 6u);
+    EXPECT_EQ(kPaperSystems[0], presets::Baseline);
+    EXPECT_EQ(kPaperSystems[5], presets::RWoW_RDE);
 }
 
 TEST(Config, DefaultQueueingMatchesPaper)
@@ -91,7 +91,7 @@ TEST(ConfigDeath, BadWatermarksAreFatal)
 
 TEST(ConfigDeath, CancellationOnPcmapIsFatal)
 {
-    ControllerConfig c = ControllerConfig::forMode(SystemMode::RWoW_RDE);
+    ControllerConfig c = controllerFor(presets::RWoW_RDE);
     c.enableWriteCancellation = true;
     EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1),
                 "conventional DIMM");
@@ -99,7 +99,7 @@ TEST(ConfigDeath, CancellationOnPcmapIsFatal)
 
 TEST(ConfigDeath, PresetOnPcmapIsFatal)
 {
-    ControllerConfig c = ControllerConfig::forMode(SystemMode::RWoW_RD);
+    ControllerConfig c = controllerFor(presets::RWoW_RD);
     c.enablePreset = true;
     EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1),
                 "conventional DIMM");

@@ -13,6 +13,7 @@
 
 #include "core/controller.h"
 #include "sim/rng.h"
+#include "paper_systems.h"
 
 namespace pcmap {
 namespace {
@@ -21,10 +22,11 @@ class ControllerEdgeTest : public ::testing::Test
 {
   protected:
     void
-    build(SystemMode mode,
+    build(const ControllerPolicy &system,
           const std::function<void(ControllerConfig &)> &tweak = {})
     {
-        ControllerConfig cfg = ControllerConfig::forMode(mode);
+        ControllerConfig cfg;
+        system.applyTo(cfg);
         if (tweak)
             tweak(cfg);
         mapper = std::make_unique<AddressMapper>(MemGeometry{});
@@ -86,7 +88,7 @@ TEST_F(ControllerEdgeTest, SpecBufferCapLimitsOutstandingVerifies)
 {
     // With a 1-entry speculative buffer, at most one unverified read
     // can be outstanding; further reads wait for chips instead.
-    build(SystemMode::RWoW_NR, [](ControllerConfig &c) {
+    build(presets::RWoW_NR, [](ControllerConfig &c) {
         c.specReadBufferCap = 1;
         c.writeQueueCap = 4;
     });
@@ -105,7 +107,7 @@ TEST_F(ControllerEdgeTest, SpecBufferCapLimitsOutstandingVerifies)
 
 TEST_F(ControllerEdgeTest, StatusPollsChargedForFineGrainedService)
 {
-    build(SystemMode::RWoW_RDE);
+    build(presets::RWoW_RDE);
     write(addrFor(0, 1), 0b11);
     eq.run();
     EXPECT_GE(mc->stats().statusPolls, 1u);
@@ -113,7 +115,7 @@ TEST_F(ControllerEdgeTest, StatusPollsChargedForFineGrainedService)
 
 TEST_F(ControllerEdgeTest, NoStatusPollsInBaseline)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     write(addrFor(0, 1), 0b11);
     read(addrFor(1, 1));
     eq.run();
@@ -122,7 +124,7 @@ TEST_F(ControllerEdgeTest, NoStatusPollsInBaseline)
 
 TEST_F(ControllerEdgeTest, ForwardingWorksDuringDrain)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.writeQueueCap = 8;
         c.drainHighWatermark = 0.5;
     });
@@ -140,7 +142,7 @@ TEST_F(ControllerEdgeTest, BacklogCapThrottlesWrites)
 {
     // A tiny code-update backlog forces write service to wait for the
     // code chips; everything still completes.
-    build(SystemMode::WoW_NR, [](ControllerConfig &c) {
+    build(presets::WoW_NR, [](ControllerConfig &c) {
         c.codeUpdateBacklogCap = 2;
         c.writeQueueCap = 64;
         c.drainHighWatermark = 0.9;
@@ -154,7 +156,7 @@ TEST_F(ControllerEdgeTest, BacklogCapThrottlesWrites)
 
 TEST_F(ControllerEdgeTest, ZeroEssentialWritesNeverTouchChips)
 {
-    build(SystemMode::RWoW_RDE);
+    build(presets::RWoW_RDE);
     // Pre-populate, then write back identical contents repeatedly.
     CacheLine l;
     l.w[3] = 42;
@@ -175,7 +177,7 @@ TEST_F(ControllerEdgeTest, ZeroEssentialWritesNeverTouchChips)
 
 TEST_F(ControllerEdgeTest, PresetMakesBufferedWriteFast)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.enablePreset = true;
         c.drainHighWatermark = 0.9;
     });
@@ -194,7 +196,7 @@ TEST_F(ControllerEdgeTest, PresetMakesBufferedWriteFast)
 
 TEST_F(ControllerEdgeTest, PresetDroppedWhenWriteOutrunsIt)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.enablePreset = true;
     });
     // No reads: the write issues immediately, before any pre-SET.
@@ -208,7 +210,7 @@ TEST_F(ControllerEdgeTest, PresetDroppedWhenWriteOutrunsIt)
 
 TEST_F(ControllerEdgeTest, PresetWritesCommitCorrectData)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.enablePreset = true;
         c.drainHighWatermark = 0.9;
     });
@@ -224,9 +226,9 @@ TEST_F(ControllerEdgeTest, PresetWritesCommitCorrectData)
     EXPECT_EQ(responses[0].data, store.read(addr / kLineBytes).data);
 }
 
-/** Random mixed-stress soak across every mode: nothing deadlocks,
+/** Random mixed-stress soak across every system: nothing deadlocks,
  *  everything completes, functional state stays exact. */
-class ControllerSoak : public ::testing::TestWithParam<SystemMode>
+class ControllerSoak : public ::testing::TestWithParam<PaperSystem>
 {
 };
 
@@ -235,7 +237,8 @@ TEST_P(ControllerSoak, RandomStressCompletesConsistently)
     EventQueue eq;
     BackingStore store;
     AddressMapper mapper{MemGeometry{}};
-    ControllerConfig cfg = ControllerConfig::forMode(GetParam());
+    ControllerConfig cfg;
+    GetParam().policy().applyTo(cfg);
     cfg.writeQueueCap = 16;
     MemoryController mc("mc0", cfg, eq, store, mapper, 0);
     mc.setVerifyCallback([](ReqId, unsigned, bool) {});
@@ -290,14 +293,9 @@ TEST_P(ControllerSoak, RandomStressCompletesConsistently)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllModes, ControllerSoak, ::testing::ValuesIn(kAllModes),
-    [](const ::testing::TestParamInfo<SystemMode> &info) {
-        std::string name = systemModeName(info.param);
-        for (char &c : name) {
-            if (c == '-')
-                c = '_';
-        }
-        return name;
+    AllModes, ControllerSoak, ::testing::ValuesIn(allPaperSystems()),
+    [](const ::testing::TestParamInfo<PaperSystem> &info) {
+        return info.param.testName();
     });
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Tests for the composable ControllerPolicy layer: composition
  * parsing (including the rejection paths and their messages), the
- * preset <-> composition bijection, and the policy-object factories
+ * six named presets and their compositions, and the policy-object
+ * factories
  * that pick the scheduler / coalescer / layout implementations.
  */
 
@@ -11,6 +12,7 @@
 #include "core/policy/controller_policy.h"
 #include "mem/address.h"
 #include "mem/backing_store.h"
+#include "sim/log.h"
 
 namespace pcmap {
 namespace {
@@ -121,27 +123,27 @@ TEST(PolicyPresets, SixModesMapToCanonicalCompositions)
 {
     const struct
     {
-        SystemMode mode;
+        ControllerPolicy preset;
         const char *composition;
     } table[] = {
-        {SystemMode::Baseline, "base"},
-        {SystemMode::RoW_NR, "row"},
-        {SystemMode::WoW_NR, "wow"},
-        {SystemMode::RWoW_NR, "row+wow"},
-        {SystemMode::RWoW_RD, "row+wow+rd"},
-        {SystemMode::RWoW_RDE, "row+wow+rde"},
+        {presets::Baseline, "base"},
+        {presets::RoW_NR, "row"},
+        {presets::WoW_NR, "wow"},
+        {presets::RWoW_NR, "row+wow"},
+        {presets::RWoW_RD, "row+wow+rd"},
+        {presets::RWoW_RDE, "row+wow+rde"},
     };
     for (const auto &e : table) {
-        const ControllerPolicy p = ControllerPolicy::forMode(e.mode);
-        EXPECT_EQ(p.composition(), e.composition)
-            << systemModeName(e.mode);
-        const auto back = p.presetMode();
-        ASSERT_TRUE(back) << e.composition;
-        EXPECT_EQ(*back, e.mode) << e.composition;
-        // And parsing the composition lands on the same preset.
+        EXPECT_EQ(e.preset.composition(), e.composition)
+            << e.preset.label();
+        EXPECT_TRUE(e.preset.isPreset()) << e.composition;
+        // Parsing the composition or the name lands on the preset,
+        // which labels itself by name.
         const auto parsed = ControllerPolicy::parse(e.composition);
         ASSERT_TRUE(parsed);
-        EXPECT_EQ(parsed->presetMode(), e.mode);
+        EXPECT_EQ(*parsed, e.preset);
+        EXPECT_EQ(ControllerPolicy::parse(e.preset.label()), e.preset);
+        EXPECT_EQ(parsed->label(), e.preset.label());
     }
 }
 
@@ -150,18 +152,18 @@ TEST(PolicyPresets, NonPresetCompositionsHaveNoMode)
     for (const char *comp : {"fg", "rd", "fg+rd", "row+rd", "rde"}) {
         const auto p = ControllerPolicy::parse(comp);
         ASSERT_TRUE(p) << comp;
-        EXPECT_FALSE(p->presetMode()) << comp;
+        EXPECT_FALSE(p->isPreset()) << comp;
+        EXPECT_EQ(p->label(), comp) << "labelled by composition";
     }
 }
 
 TEST(PolicyPresets, FromConfigInvertsApplyTo)
 {
-    for (const SystemMode mode : kAllModes) {
+    for (const ControllerPolicy &preset : kPaperSystems) {
         ControllerConfig cfg;
-        ControllerPolicy::forMode(mode).applyTo(cfg);
-        EXPECT_EQ(ControllerPolicy::fromConfig(cfg),
-                  ControllerPolicy::forMode(mode))
-            << systemModeName(mode);
+        preset.applyTo(cfg);
+        EXPECT_EQ(ControllerPolicy::fromConfig(cfg), preset)
+            << preset.label();
     }
 }
 
@@ -204,21 +206,47 @@ TEST(PolicyFactories, PickImplementationsByComposition)
 
 TEST(ModeNames, ParseIsCaseInsensitive)
 {
-    EXPECT_EQ(systemModeFromName("rwow-rde"), SystemMode::RWoW_RDE);
-    EXPECT_EQ(systemModeFromName("RWOW-RDE"), SystemMode::RWoW_RDE);
-    EXPECT_EQ(systemModeFromName("baseline"), SystemMode::Baseline);
-    EXPECT_EQ(systemModeFromName("BASELINE"), SystemMode::Baseline);
-    EXPECT_EQ(systemModeFromName("row_nr"), SystemMode::RoW_NR)
-        << "'_' accepted for '-'";
-    EXPECT_EQ(systemModeFromName("wow-nr"), SystemMode::WoW_NR);
-    EXPECT_FALSE(systemModeFromName("rwow"));
-    EXPECT_FALSE(systemModeFromName(""));
+    const auto parse = [](const char *name) {
+        return ControllerPolicy::parse(name);
+    };
+    EXPECT_EQ(parse("rwow-rde"), presets::RWoW_RDE);
+    EXPECT_EQ(parse("RWOW-RDE"), presets::RWoW_RDE);
+    EXPECT_EQ(parse("baseline"), presets::Baseline);
+    EXPECT_EQ(parse("BASELINE"), presets::Baseline);
+    EXPECT_EQ(parse("row_nr"), presets::RoW_NR) << "'_' accepted for '-'";
+    EXPECT_EQ(parse("wow-nr"), presets::WoW_NR);
+    EXPECT_FALSE(parse("rwow"));
+    EXPECT_FALSE(parse(""));
 }
 
 TEST(ModeNames, NamesListCoversAllSixInOrder)
 {
-    EXPECT_EQ(systemModeNames(),
+    std::string names;
+    for (const ControllerPolicy &preset : kPaperSystems)
+        names += (names.empty() ? "" : ", ") + preset.label();
+    EXPECT_EQ(names,
               "Baseline, RoW-NR, WoW-NR, RWoW-NR, RWoW-RD, RWoW-RDE");
+}
+
+TEST(ModeNames, RequireHintsTheClosestName)
+{
+    ScopedErrorTrap trap;
+    try {
+        ControllerPolicy::require("RWoW-RDR", {"all"});
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unknown system mode 'RWoW-RDR'; did you "
+                            "mean 'RWoW-RD'?"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("RWoW-RDE, all, or a '+' composition of "
+                            "base, fg, row, wow, rd, rde"),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_THROW(ControllerPolicy::require("row+bogus"), SimError);
+    EXPECT_EQ(ControllerPolicy::require("RoW+Rd").label(), "row+rd");
 }
 
 } // namespace

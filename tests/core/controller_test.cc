@@ -12,6 +12,7 @@
 
 #include "core/controller.h"
 #include "sim/rng.h"
+#include "paper_systems.h"
 
 namespace pcmap {
 namespace {
@@ -26,10 +27,10 @@ class ControllerTest : public ::testing::Test
 {
   protected:
     void
-    build(SystemMode mode,
+    build(const ControllerPolicy &system,
           const std::function<void(ControllerConfig &)> &tweak = {})
     {
-        ControllerConfig cfg = ControllerConfig::forMode(mode);
+        ControllerConfig cfg = controllerFor(system);
         if (tweak)
             tweak(cfg);
         mapper = std::make_unique<AddressMapper>(MemGeometry{});
@@ -114,7 +115,7 @@ class ControllerTest : public ::testing::Test
 
 TEST_F(ControllerTest, SingleReadRowMissLatency)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     const PcmTiming t;
     read(addrFor(0, 1));
     runAll();
@@ -127,7 +128,7 @@ TEST_F(ControllerTest, SingleReadRowMissLatency)
 
 TEST_F(ControllerTest, RowHitReadIsFaster)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     const PcmTiming t;
     read(addrFor(0, 1, 0));
     read(addrFor(0, 1, 1)); // same row, next column
@@ -140,7 +141,7 @@ TEST_F(ControllerTest, RowHitReadIsFaster)
 
 TEST_F(ControllerTest, RowConflictPaysActivation)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     const PcmTiming t;
     read(addrFor(0, 1));
     read(addrFor(0, 2)); // different row, same bank
@@ -152,7 +153,7 @@ TEST_F(ControllerTest, RowConflictPaysActivation)
 
 TEST_F(ControllerTest, BankParallelReadsOverlap)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     const PcmTiming t;
     read(addrFor(0, 1));
     read(addrFor(1, 1)); // different bank: array times overlap
@@ -165,7 +166,7 @@ TEST_F(ControllerTest, BankParallelReadsOverlap)
 
 TEST_F(ControllerTest, ReadReturnsWrittenData)
 {
-    build(SystemMode::RWoW_RDE);
+    build(presets::RWoW_RDE);
     const std::uint64_t addr = addrFor(3, 7);
     write(addr, 0b00010010);
     runAll();
@@ -178,7 +179,7 @@ TEST_F(ControllerTest, ReadReturnsWrittenData)
 
 TEST_F(ControllerTest, WriteQueueForwardingServesReadInstantly)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.drainHighWatermark = 0.9; // keep the write buffered
     });
     // Fill readQ first so the write stays queued.
@@ -193,7 +194,7 @@ TEST_F(ControllerTest, WriteQueueForwardingServesReadInstantly)
 
 TEST_F(ControllerTest, WritesCoalesceInQueue)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.drainHighWatermark = 0.9;
     });
     read(addrFor(0, 1)); // keep controller in read phase briefly
@@ -207,7 +208,7 @@ TEST_F(ControllerTest, WritesCoalesceInQueue)
 
 TEST_F(ControllerTest, SilentWriteCompletesWithoutChipWork)
 {
-    build(SystemMode::RWoW_RDE);
+    build(presets::RWoW_RDE);
     write(addrFor(2, 3), 0); // no words change
     runAll();
     EXPECT_EQ(mc->stats().writesCompleted, 1u);
@@ -222,7 +223,7 @@ TEST_F(ControllerTest, SilentWriteCompletesWithoutChipWork)
 
 TEST_F(ControllerTest, BaselineWriteBlocksSameBankRead)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     const PcmTiming t;
     write(addrFor(0, 1), 0b1); // issues opportunistically (no reads)
     runFor(1 * kNanosecond);
@@ -239,7 +240,7 @@ TEST_F(ControllerTest, BaselineWriteBlocksOtherBankReadToo)
 {
     // The rank-wide idling the paper's intro describes: a write keeps
     // every chip busy, so even another bank's read waits.
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     const PcmTiming t;
     write(addrFor(0, 1), 0b1);
     runFor(1 * kNanosecond);
@@ -254,7 +255,7 @@ TEST_F(ControllerTest, FineGrainedWriteFreesUninvolvedChips)
 {
     // With PCMap's sub-ranking plus RoW, a read is served while the
     // write drain is still in progress, instead of waiting for it.
-    build(SystemMode::RWoW_NR, [](ControllerConfig &c) {
+    build(presets::RWoW_NR, [](ControllerConfig &c) {
         c.writeQueueCap = 4;
     });
     read(addrFor(6, 1)); // keeps the read queue non-empty at drain
@@ -275,7 +276,7 @@ TEST_F(ControllerTest, FineGrainedWriteFreesUninvolvedChips)
 
 TEST_F(ControllerTest, RoWServesReadDuringOneWordWrite)
 {
-    build(SystemMode::RWoW_NR, [](ControllerConfig &c) {
+    build(presets::RWoW_NR, [](ControllerConfig &c) {
         c.writeQueueCap = 4; // drain after 3 writes
     });
     const PcmTiming t;
@@ -306,7 +307,7 @@ TEST_F(ControllerTest, RoWServesReadDuringOneWordWrite)
 
 TEST_F(ControllerTest, RoWReconstructionDeliversCorrectData)
 {
-    build(SystemMode::RWoW_NR, [](ControllerConfig &c) {
+    build(presets::RWoW_NR, [](ControllerConfig &c) {
         c.writeQueueCap = 4;
     });
     // Materialize a known line, then force the RoW situation against
@@ -335,7 +336,7 @@ TEST_F(ControllerTest, RoWReconstructionDeliversCorrectData)
 
 TEST_F(ControllerTest, RoWFaultDetectedByDeferredVerify)
 {
-    build(SystemMode::RWoW_NR, [](ControllerConfig &c) {
+    build(presets::RWoW_NR, [](ControllerConfig &c) {
         c.writeQueueCap = 4;
     });
     // Corrupt a stored bit of the victim line: parity reconstruction
@@ -382,7 +383,7 @@ TEST_F(ControllerTest, RoWFaultDetectedByDeferredVerify)
 
 TEST_F(ControllerTest, WoWMergesDisjointWrites)
 {
-    build(SystemMode::WoW_NR);
+    build(presets::WoW_NR);
     const PcmTiming t;
     // Two writes, same bank, dirty words on different chips.
     write(addrFor(0, 1, 0), 0b00000001); // word 0 -> chip 0
@@ -397,7 +398,7 @@ TEST_F(ControllerTest, WoWMergesDisjointWrites)
 
 TEST_F(ControllerTest, WoWCannotMergeConflictingChips)
 {
-    build(SystemMode::WoW_NR);
+    build(presets::WoW_NR);
     // Same dirty offset on consecutive lines: same chip without
     // rotation, so the writes must serialize.
     write(addrFor(0, 1, 0), 0b00000100);
@@ -411,7 +412,7 @@ TEST_F(ControllerTest, WordRotationEnablesSameOffsetMerge)
 {
     // The identical conflicting pattern merges once data rotation
     // spreads the same offset across chips (Section IV-C2).
-    build(SystemMode::RWoW_RD);
+    build(presets::RWoW_RD);
     write(addrFor(0, 1, 0), 0b00000100);
     write(addrFor(0, 1, 1), 0b00000100);
     runAll();
@@ -421,7 +422,7 @@ TEST_F(ControllerTest, WordRotationEnablesSameOffsetMerge)
 
 TEST_F(ControllerTest, WoWRespectsMergeCap)
 {
-    build(SystemMode::RWoW_RD, [](ControllerConfig &c) {
+    build(presets::RWoW_RD, [](ControllerConfig &c) {
         c.wowMaxMerge = 2;
         c.writeQueueCap = 64;
         c.drainHighWatermark = 0.9;
@@ -438,7 +439,7 @@ TEST_F(ControllerTest, WoWRespectsMergeCap)
 
 TEST_F(ControllerTest, WoWOnlyMergesSameBank)
 {
-    build(SystemMode::WoW_NR);
+    build(presets::WoW_NR);
     write(addrFor(0, 1), 0b1);
     write(addrFor(1, 1), 0b10); // other bank: separate service
     runAll();
@@ -448,7 +449,7 @@ TEST_F(ControllerTest, WoWOnlyMergesSameBank)
 
 TEST_F(ControllerTest, ClosedPagePolicyForfeitsRowHits)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.pagePolicy = PagePolicy::Closed;
     });
     const PcmTiming t;
@@ -464,7 +465,7 @@ TEST_F(ControllerTest, FcfsServesStrictlyInArrivalOrder)
 {
     // Reads to bank 0 (busy) then bank 1 (free).  FR-FCFS would let
     // the bank-1 read overtake; strict FCFS must not.
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.readScheduling = ReadScheduling::Fcfs;
     });
     read(addrFor(0, 1));
@@ -479,7 +480,7 @@ TEST_F(ControllerTest, FcfsServesStrictlyInArrivalOrder)
 
 TEST_F(ControllerTest, FrFcfsLetsFreeBankOvertake)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     read(addrFor(0, 1));
     read(addrFor(0, 2));
     read(addrFor(1, 1)); // younger but on an idle bank
@@ -501,7 +502,7 @@ TEST_F(ControllerTest, MultiWordRoWSerializesWriteSteps)
 {
     // Section IV-B4 extension: with rowMultiWordWrites a 3-word write
     // becomes three one-chip pulses and reads keep flowing.
-    build(SystemMode::RoW_NR, [](ControllerConfig &c) {
+    build(presets::RoW_NR, [](ControllerConfig &c) {
         c.rowMultiWordWrites = true;
         c.writeQueueCap = 4;
     });
@@ -522,7 +523,7 @@ TEST_F(ControllerTest, MultiWordRoWSerializesWriteSteps)
 
 TEST_F(ControllerTest, MultiWordRoWOffByDefault)
 {
-    build(SystemMode::RoW_NR, [](ControllerConfig &c) {
+    build(presets::RoW_NR, [](ControllerConfig &c) {
         c.writeQueueCap = 4;
     });
     read(addrFor(6, 1));
@@ -541,7 +542,7 @@ TEST_F(ControllerTest, MultiWordRoWOffByDefault)
 
 TEST_F(ControllerTest, WriteQueueFullRejectsAndRetries)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.writeQueueCap = 2;
         c.drainHighWatermark = 0.99;
         c.drainLowWatermark = 0.1;
@@ -557,7 +558,7 @@ TEST_F(ControllerTest, WriteQueueFullRejectsAndRetries)
 
 TEST_F(ControllerTest, WriteCancellationFreesChipsForRead)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.enableWriteCancellation = true;
     });
     const PcmTiming t;
@@ -577,7 +578,7 @@ TEST_F(ControllerTest, WriteCancellationFreesChipsForRead)
 
 TEST_F(ControllerTest, WriteCancellationBoundedRetries)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.enableWriteCancellation = true;
         c.maxWriteCancels = 2;
         // Once the write turns sticky it blocks the bank for its full
@@ -606,7 +607,7 @@ TEST_F(ControllerTest, MultiRoundWriteCancelsAtRoundBoundaries)
     // only at programming-round boundaries, keep the rounds it
     // already committed (so each retry is shorter), respect the
     // cancel bound, and drain the read queue completely.
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.timing = c.timing.withOrg(DeviceOrg::Qlc);
         c.enableWriteCancellation = true;
         c.maxWriteCancels = 2;
@@ -645,7 +646,7 @@ TEST_F(ControllerTest, WriteIssueWakesWriterStalledOnFullQueue)
     // emptied mid-run.  Long multi-round QLC writes made this easy to
     // hit at scale (RoW-NR @ qlc, canneal); the fix notifies on every
     // write issue, which is when queue space actually frees.
-    build(SystemMode::RoW_NR, [](ControllerConfig &c) {
+    build(presets::RoW_NR, [](ControllerConfig &c) {
         c.timing = c.timing.withOrg(DeviceOrg::Qlc);
         c.writeQueueCap = 4;
     });
@@ -674,7 +675,7 @@ TEST_F(ControllerTest, SingleRoundOrgKeepsRoundCountersAtZero)
 {
     // The round counters are gated on writeRounds > 1 so slc output
     // (results dump, stat export, sweep JSONL) stays byte-identical.
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.enableWriteCancellation = true;
     });
     write(addrFor(0, 1), 0b1);
@@ -688,7 +689,7 @@ TEST_F(ControllerTest, SingleRoundOrgKeepsRoundCountersAtZero)
 
 TEST_F(ControllerTest, CancelledWriteStillCommitsData)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.enableWriteCancellation = true;
     });
     const std::uint64_t addr = addrFor(0, 1);
@@ -703,7 +704,7 @@ TEST_F(ControllerTest, CancelledWriteStillCommitsData)
 
 TEST_F(ControllerTest, PerBankWriteQueuesScaleCapacity)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.perBankWriteQueues = true;
         c.writeQueueCap = 2; // per bank
         c.drainHighWatermark = 0.99;
@@ -723,7 +724,7 @@ TEST_F(ControllerTest, PerBankWriteQueuesScaleCapacity)
 
 TEST_F(ControllerTest, ReadQueueFullRejects)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.readQueueCap = 2;
     });
     // All arrive in the same tick, before any can issue.
@@ -737,7 +738,7 @@ TEST_F(ControllerTest, ReadQueueFullRejects)
 
 TEST_F(ControllerTest, EssentialHistogramCountsDirtyWords)
 {
-    build(SystemMode::RWoW_RDE);
+    build(presets::RWoW_RDE);
     write(addrFor(0, 1, 0), 0b1);        // 1 word
     runAll();
     write(addrFor(0, 1, 1), 0b1111);     // 4 words
@@ -752,7 +753,7 @@ TEST_F(ControllerTest, EssentialHistogramCountsDirtyWords)
 
 TEST_F(ControllerTest, DrainStopsAtLowWatermark)
 {
-    build(SystemMode::Baseline, [](ControllerConfig &c) {
+    build(presets::Baseline, [](ControllerConfig &c) {
         c.writeQueueCap = 10;
         c.drainHighWatermark = 0.8;
         c.drainLowWatermark = 0.2;
@@ -771,7 +772,7 @@ TEST(ControllerDeterminism, IdenticalStimulusIdenticalTiming)
         BackingStore store;
         AddressMapper mapper{MemGeometry{}};
         MemoryController mc(
-            "mc0", ControllerConfig::forMode(SystemMode::RWoW_RDE), eq,
+            "mc0", controllerFor(presets::RWoW_RDE), eq,
             store, mapper, 0);
         Rng rng(99);
         ReqId next_id = 1;
@@ -815,7 +816,7 @@ TEST_F(ControllerTest, FunctionalStateMatchesAllWrites)
 {
     // Pseudo-random soak: every committed write must be readable back
     // exactly, regardless of RoW/WoW/rotation scheduling.
-    build(SystemMode::RWoW_RDE);
+    build(presets::RWoW_RDE);
     Rng addr_rng(5);
     std::vector<std::uint64_t> addrs;
     for (int i = 0; i < 50; ++i) {

@@ -16,7 +16,7 @@ SystemResults
 smallRun()
 {
     SystemConfig cfg;
-    cfg.mode = SystemMode::RWoW_RDE;
+    presets::RWoW_RDE.applyTo(cfg.controller);
     cfg.numCores = 2;
     cfg.instructionsPerCore = 40'000;
     cfg.seed = 13;
@@ -37,6 +37,17 @@ TEST(DumpResults, ContainsHeaderAndKeyMetrics)
           "wear.chipImbalance", "traffic.rpki"}) {
         EXPECT_NE(text.find(key), std::string::npos) << key;
     }
+}
+
+TEST(DumpResults, HeaderNamesANonPresetSystemByItsComposition)
+{
+    SystemResults r;
+    r.workload = "MP1";
+    r.system = *ControllerPolicy::parse("row+rd");
+    std::ostringstream os;
+    dumpResults(r, os);
+    EXPECT_EQ(os.str().rfind("=== MP1 on row+rd ===\n", 0), 0u)
+        << os.str().substr(0, 40);
 }
 
 TEST(DumpResults, PerCoreIpcLines)

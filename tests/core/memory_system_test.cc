@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/memory_system.h"
+#include "paper_systems.h"
 
 namespace pcmap {
 namespace {
@@ -17,10 +18,10 @@ class MemorySystemTest : public ::testing::Test
 {
   protected:
     void
-    build(SystemMode mode)
+    build(const ControllerPolicy &system)
     {
         mem = std::make_unique<MainMemory>(
-            ControllerConfig::forMode(mode), geom, eq);
+            controllerFor(system), geom, eq);
     }
 
     /** Line-aligned address decoding to @p channel. */
@@ -65,7 +66,7 @@ class MemorySystemTest : public ::testing::Test
 
 TEST_F(MemorySystemTest, BuildsOneControllerPerChannel)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     EXPECT_EQ(mem->channels(), geom.channels);
     for (unsigned ch = 0; ch < mem->channels(); ++ch) {
         EXPECT_EQ(mem->controller(ch).name(),
@@ -76,7 +77,7 @@ TEST_F(MemorySystemTest, BuildsOneControllerPerChannel)
 
 TEST_F(MemorySystemTest, RoutesByChannelBits)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     for (unsigned ch = 0; ch < geom.channels; ++ch)
         EXPECT_TRUE(read(addrOnChannel(ch, 1)));
     eq.run();
@@ -89,7 +90,7 @@ TEST_F(MemorySystemTest, RoutesByChannelBits)
 
 TEST_F(MemorySystemTest, ChannelsOperateInParallel)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     const PcmTiming t;
     for (unsigned ch = 0; ch < geom.channels; ++ch)
         read(addrOnChannel(ch, 2));
@@ -102,7 +103,7 @@ TEST_F(MemorySystemTest, ChannelsOperateInParallel)
 
 TEST_F(MemorySystemTest, WritesVisibleAcrossPort)
 {
-    build(SystemMode::RWoW_RDE);
+    build(presets::RWoW_RDE);
     const std::uint64_t addr = addrOnChannel(2, 7);
     write(addr, 0xCAFE);
     eq.run();
@@ -115,7 +116,7 @@ TEST_F(MemorySystemTest, WritesVisibleAcrossPort)
 
 TEST_F(MemorySystemTest, RetryCallbackFansOutFromAnyController)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     int retries = 0;
     mem->setRetryCallback([&] { ++retries; });
     // Overflow channel 0's read queue.
@@ -130,7 +131,7 @@ TEST_F(MemorySystemTest, RetryCallbackFansOutFromAnyController)
 
 TEST_F(MemorySystemTest, VerifyCallbackCarriesCoreId)
 {
-    build(SystemMode::RWoW_NR);
+    build(presets::RWoW_NR);
     std::vector<unsigned> cores_seen;
     mem->setVerifyCallback(
         [&](ReqId, unsigned core, bool fault) {
@@ -156,7 +157,7 @@ TEST_F(MemorySystemTest, VerifyCallbackCarriesCoreId)
 
 TEST_F(MemorySystemTest, IdleReflectsOutstandingWork)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     EXPECT_TRUE(mem->idle());
     read(addrOnChannel(1, 3));
     EXPECT_FALSE(mem->idle());
@@ -166,7 +167,7 @@ TEST_F(MemorySystemTest, IdleReflectsOutstandingWork)
 
 TEST_F(MemorySystemTest, SumOverAggregatesControllers)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     for (unsigned ch = 0; ch < geom.channels; ++ch)
         read(addrOnChannel(ch, 4));
     eq.run();
@@ -179,7 +180,7 @@ TEST_F(MemorySystemTest, SumOverAggregatesControllers)
 TEST_F(MemorySystemTest, MultiRankBuildsAndRoundTrips)
 {
     geom.ranksPerChannel = 2;
-    build(SystemMode::RWoW_RDE);
+    build(presets::RWoW_RDE);
     EXPECT_EQ(mem->controller(0).numRanks(), 2u);
     // Find two addresses on channel 0 in different ranks.
     std::uint64_t rank0_addr = 0;
@@ -214,7 +215,7 @@ TEST_F(MemorySystemTest, RanksServeWritesConcurrently)
     // The one-write-group-at-a-time constraint is per rank: two ranks
     // of one channel write in parallel, halving the two-write makespan.
     geom.ranksPerChannel = 2;
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     const PcmTiming t;
     std::uint64_t rank_addr[2] = {0, 0};
     bool have[2] = {false, false};
@@ -235,7 +236,7 @@ TEST_F(MemorySystemTest, RanksServeWritesConcurrently)
 
 TEST_F(MemorySystemTest, FinalizeClosesIrlpWindows)
 {
-    build(SystemMode::Baseline);
+    build(presets::Baseline);
     write(addrOnChannel(0, 9), 42);
     eq.run();
     mem->finalize(eq.now());

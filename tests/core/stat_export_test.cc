@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "core/stat_export.h"
+#include "paper_systems.h"
 
 namespace pcmap {
 namespace {
@@ -19,7 +20,7 @@ class StatExportTest : public ::testing::Test
     SetUp() override
     {
         mem = std::make_unique<MainMemory>(
-            ControllerConfig::forMode(SystemMode::RWoW_RDE), geom, eq);
+            controllerFor(presets::RWoW_RDE), geom, eq);
     }
 
     void

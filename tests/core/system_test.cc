@@ -1,6 +1,6 @@
 /**
  * @file
- * Integration tests for the assembled system: every evaluated mode
+ * Integration tests for the assembled system: every evaluated system
  * runs to completion, results are internally consistent, and runs are
  * reproducible from the seed.
  */
@@ -8,30 +8,31 @@
 #include <gtest/gtest.h>
 
 #include "core/system.h"
+#include "paper_systems.h"
 
 namespace pcmap {
 namespace {
 
 SystemConfig
-smallConfig(SystemMode mode)
+smallConfig(const ControllerPolicy &system)
 {
     SystemConfig cfg;
-    cfg.mode = mode;
+    system.applyTo(cfg.controller);
     cfg.numCores = 4;
     cfg.instructionsPerCore = 60'000;
     cfg.seed = 3;
     return cfg;
 }
 
-class SystemAllModes : public ::testing::TestWithParam<SystemMode>
+class SystemAllModes : public ::testing::TestWithParam<PaperSystem>
 {
 };
 
 TEST_P(SystemAllModes, RunsToCompletionWithSaneMetrics)
 {
     const SystemResults r =
-        runWorkload(smallConfig(GetParam()), "MP1");
-    EXPECT_EQ(r.mode, GetParam());
+        runWorkload(smallConfig(GetParam().policy()), "MP1");
+    EXPECT_EQ(r.system, GetParam().policy());
     EXPECT_EQ(r.workload, "MP1");
     EXPECT_EQ(r.coreIpc.size(), 4u);
     for (const double ipc : r.coreIpc) {
@@ -55,22 +56,17 @@ TEST_P(SystemAllModes, RunsToCompletionWithSaneMetrics)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllModes, SystemAllModes, ::testing::ValuesIn(kAllModes),
-    [](const ::testing::TestParamInfo<SystemMode> &info) {
-        std::string name = systemModeName(info.param);
-        for (char &c : name) {
-            if (c == '-')
-                c = '_';
-        }
-        return name;
+    AllModes, SystemAllModes, ::testing::ValuesIn(allPaperSystems()),
+    [](const ::testing::TestParamInfo<PaperSystem> &info) {
+        return info.param.testName();
     });
 
 TEST(System, DeterministicForSameSeed)
 {
     const SystemResults a =
-        runWorkload(smallConfig(SystemMode::RWoW_RDE), "canneal");
+        runWorkload(smallConfig(presets::RWoW_RDE), "canneal");
     const SystemResults b =
-        runWorkload(smallConfig(SystemMode::RWoW_RDE), "canneal");
+        runWorkload(smallConfig(presets::RWoW_RDE), "canneal");
     EXPECT_EQ(a.simTicks, b.simTicks);
     EXPECT_DOUBLE_EQ(a.ipcSum, b.ipcSum);
     EXPECT_EQ(a.readsCompleted, b.readsCompleted);
@@ -79,7 +75,7 @@ TEST(System, DeterministicForSameSeed)
 
 TEST(System, DifferentSeedsDiffer)
 {
-    SystemConfig cfg = smallConfig(SystemMode::Baseline);
+    SystemConfig cfg = smallConfig(presets::Baseline);
     const SystemResults a = runWorkload(cfg, "MP4");
     cfg.seed = 4;
     const SystemResults b = runWorkload(cfg, "MP4");
@@ -91,26 +87,26 @@ TEST(System, SharedAddressSpaceForMtWorkloads)
     // Multi-threaded runs share a footprint: the same line can be
     // touched by several cores without address-partition panics.
     const SystemResults r =
-        runWorkload(smallConfig(SystemMode::RWoW_RDE), "streamcluster");
+        runWorkload(smallConfig(presets::RWoW_RDE), "streamcluster");
     EXPECT_GT(r.readsCompleted, 0u);
 }
 
 TEST(System, SpeculativeReadsOnlyInRoWModes)
 {
     const SystemResults base =
-        runWorkload(smallConfig(SystemMode::Baseline), "MP4");
+        runWorkload(smallConfig(presets::Baseline), "MP4");
     EXPECT_EQ(base.specReads, 0u);
     EXPECT_EQ(base.rowReads, 0u);
 
     const SystemResults wow =
-        runWorkload(smallConfig(SystemMode::WoW_NR), "MP4");
+        runWorkload(smallConfig(presets::WoW_NR), "MP4");
     EXPECT_EQ(wow.specReads, 0u);
 }
 
 TEST(System, WowGroupsOnlyInWoWModes)
 {
     const SystemResults row =
-        runWorkload(smallConfig(SystemMode::RoW_NR), "MP4");
+        runWorkload(smallConfig(presets::RoW_NR), "MP4");
     EXPECT_EQ(row.wowGroups, 0u);
 }
 
@@ -118,7 +114,7 @@ TEST(System, MeasuredMixApproximatesTableII)
 {
     // MP4 = 8x astar with RPKI 8.05 / WPKI 5.65 per Table II; the
     // measured PCM traffic mix should land in that neighbourhood.
-    SystemConfig cfg = smallConfig(SystemMode::Baseline);
+    SystemConfig cfg = smallConfig(presets::Baseline);
     cfg.numCores = 8;
     const SystemResults r = runWorkload(cfg, "MP4");
     EXPECT_NEAR(r.rpki, 8.05, 1.2);
@@ -130,7 +126,7 @@ TEST(System, MeasuredMixApproximatesTableII)
 
 TEST(System, EssentialWordsMeanInPaperBand)
 {
-    SystemConfig cfg = smallConfig(SystemMode::Baseline);
+    SystemConfig cfg = smallConfig(presets::Baseline);
     const SystemResults r = runWorkload(cfg, "MP1");
     // Section III-B: most writes update 1-4 words; the mean over
     // non-silent traffic sits between 1 and 4.
@@ -140,7 +136,7 @@ TEST(System, EssentialWordsMeanInPaperBand)
 
 TEST(SystemDeath, CoreCountMismatchIsFatal)
 {
-    SystemConfig cfg = smallConfig(SystemMode::Baseline);
+    SystemConfig cfg = smallConfig(presets::Baseline);
     cfg.numCores = 8;
     const workload::WorkloadSpec spec =
         workload::makeWorkload("MP1", 4);

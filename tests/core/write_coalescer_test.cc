@@ -15,6 +15,7 @@
 #include "core/policy/write_coalescer.h"
 #include "mem/address.h"
 #include "mem/rank.h"
+#include "paper_systems.h"
 
 namespace pcmap {
 namespace {
@@ -59,7 +60,7 @@ class WowCollectTest : public ::testing::Test
     MemGeometry geom{};
     AddressMapper mapper{geom};
     BackingStore store;
-    ControllerConfig cfg = ControllerConfig::forMode(SystemMode::WoW_NR);
+    ControllerConfig cfg = controllerFor(presets::WoW_NR);
     std::uint64_t epoch = 0;
     std::vector<Rank> ranks;
     BankStateView view{ranks, epoch};
@@ -67,7 +68,6 @@ class WowCollectTest : public ::testing::Test
     ControllerStats stats;
     std::vector<WriteGroupMember> group;
     ChipMask occupied = 0;
-    unsigned numCmds = 0;
 };
 
 TEST_F(WowCollectTest, MergesDisjointChipSetsOnSameBank)
@@ -79,7 +79,7 @@ TEST_F(WowCollectTest, MergesDisjointChipSetsOnSameBank)
 
     occupied = 0b0000'0011; // head write on chips 0,1
     wow.collect(q, /*rank=*/0, /*bank=*/0, /*window_start=*/1000, view,
-                group, occupied, numCmds, stats);
+                group, occupied, stats);
 
     ASSERT_EQ(group.size(), 2u);
     EXPECT_TRUE(q.empty());
@@ -87,8 +87,6 @@ TEST_F(WowCollectTest, MergesDisjointChipSetsOnSameBank)
     EXPECT_EQ(group[0].chips, 0b0000'1100u);
     EXPECT_EQ(group[0].nEssential, 2u);
     EXPECT_EQ(group[1].chips, 0b0011'0000u);
-    // Two commands per admitted chip ride the command bus.
-    EXPECT_EQ(numCmds, 2u * 4u);
     EXPECT_EQ(stats.essentialWordsSum, 4u);
     EXPECT_EQ(stats.essentialHist[2], 2u);
 }
@@ -102,7 +100,7 @@ TEST_F(WowCollectTest, OverlappingEssentialChipSetsDoNotMerge)
     q.push_back(makeWrite(addrAt(0, 0, 2), 0b0000'1100)); // chips 2,3
 
     occupied = 0b0000'0011; // head on chips 0,1
-    wow.collect(q, 0, 0, 1000, view, group, occupied, numCmds, stats);
+    wow.collect(q, 0, 0, 1000, view, group, occupied, stats);
 
     // Only the disjoint write joins; the overlapping one stays queued.
     ASSERT_EQ(group.size(), 1u);
@@ -120,7 +118,7 @@ TEST_F(WowCollectTest, WritesToOtherBanksOrRanksAreSkipped)
     q.push_back(makeWrite(addrAt(0, 0, 1), 0b0000'1000)); // bank 0
 
     occupied = 0b0000'0001;
-    wow.collect(q, 0, 0, 1000, view, group, occupied, numCmds, stats);
+    wow.collect(q, 0, 0, 1000, view, group, occupied, stats);
 
     ASSERT_EQ(group.size(), 1u);
     EXPECT_EQ(group[0].chips, 0b0000'1000u);
@@ -140,13 +138,13 @@ TEST_F(WowCollectTest, BusyChipsBlockAdmissionUntilTheWindowStart)
 
     occupied = 0b0000'0001;
     wow.collect(q, 0, 0, /*window_start=*/1000, view, group, occupied,
-                numCmds, stats);
+                stats);
     EXPECT_TRUE(group.empty()) << "chip busy past the window start";
     EXPECT_EQ(q.size(), 1u);
 
     // A window starting at the chip's release admits the write.
     wow.collect(q, 0, 0, /*window_start=*/5000, view, group, occupied,
-                numCmds, stats);
+                stats);
     EXPECT_EQ(group.size(), 1u);
     EXPECT_TRUE(q.empty());
 }
@@ -159,7 +157,7 @@ TEST_F(WowCollectTest, SilentStoresAreLeftInTheQueue)
     q.push_back(makeWrite(addrAt(0, 0, 1), 0));
 
     occupied = 0b0000'0001;
-    wow.collect(q, 0, 0, 1000, view, group, occupied, numCmds, stats);
+    wow.collect(q, 0, 0, 1000, view, group, occupied, stats);
     EXPECT_TRUE(group.empty());
     EXPECT_EQ(q.size(), 1u);
     EXPECT_EQ(stats.essentialWordsSum, 0u);
@@ -181,15 +179,13 @@ TEST_F(WowCollectTest, MergesMoreThanTwoWritesUpToWowMaxMerge)
         ControllerConfig capped = cfg;
         capped.wowMaxMerge = 3;
         const WowCoalescer wow(capped, mapper, nr, store);
-        wow.collect(q, 0, 0, 1000, view, group, occupied, numCmds,
-                    stats);
+        wow.collect(q, 0, 0, 1000, view, group, occupied, stats);
         EXPECT_EQ(group.size(), 3u) << "head + 2 admitted at cap 3";
         EXPECT_EQ(q.size(), 2u);
     }
     {
         const WowCoalescer wow(cfg, mapper, nr, store); // default cap 8
-        wow.collect(q, 0, 0, 1000, view, group, occupied, numCmds,
-                    stats);
+        wow.collect(q, 0, 0, 1000, view, group, occupied, stats);
         EXPECT_EQ(group.size(), 5u) << "the rest join under the cap";
         EXPECT_TRUE(q.empty());
         EXPECT_EQ(occupied, 0b0001'1111u);
@@ -208,7 +204,7 @@ TEST_F(WowCollectTest, ScanDepthBoundsTheQueueWalk)
     q.push_back(makeWrite(addrAt(0, 0, 1), 0b0000'1000)); // mergeable
 
     occupied = 0b0000'0001;
-    wow.collect(q, 0, 0, 1000, view, group, occupied, numCmds, stats);
+    wow.collect(q, 0, 0, 1000, view, group, occupied, stats);
     EXPECT_TRUE(group.empty())
         << "the single scan slot was spent on the other-bank write";
     EXPECT_EQ(q.size(), 2u);
@@ -249,8 +245,7 @@ TEST_F(WowCollectTest, RdeRotationResolvesSameSlotAndEccConflicts)
         WriteQueue q;
         q.push_back(makeWrite(addr_b, 1u));
         occupied = nr.chipsForWords(line_a, 1u);
-        wow.collect(q, 0, 0, 1000, view, group, occupied, numCmds,
-                    stats);
+        wow.collect(q, 0, 0, 1000, view, group, occupied, stats);
         EXPECT_TRUE(group.empty());
         EXPECT_EQ(q.size(), 1u);
     }
@@ -261,8 +256,7 @@ TEST_F(WowCollectTest, RdeRotationResolvesSameSlotAndEccConflicts)
         WriteQueue q;
         q.push_back(makeWrite(addr_b, 1u));
         occupied = rde.chipsForWords(line_a, 1u);
-        wow.collect(q, 0, 0, 1000, view, group, occupied, numCmds,
-                    stats);
+        wow.collect(q, 0, 0, 1000, view, group, occupied, stats);
         ASSERT_EQ(group.size(), 1u);
         EXPECT_TRUE(q.empty());
         EXPECT_EQ(group[0].chips, rde.chipsForWords(line_b, 1u));
@@ -272,13 +266,13 @@ TEST_F(WowCollectTest, RdeRotationResolvesSameSlotAndEccConflicts)
 TEST_F(WowCollectTest, PassThroughCoalescerNeverMerges)
 {
     const ControllerConfig solo =
-        ControllerConfig::forMode(SystemMode::RoW_NR);
+        controllerFor(presets::RoW_NR);
     const PassThroughCoalescer pass(solo, mapper, nr, store);
     WriteQueue q;
     q.push_back(makeWrite(addrAt(0, 0, 1), 0b0000'1100));
 
     occupied = 0b0000'0001;
-    pass.collect(q, 0, 0, 1000, view, group, occupied, numCmds, stats);
+    pass.collect(q, 0, 0, 1000, view, group, occupied, stats);
     EXPECT_TRUE(group.empty());
     EXPECT_EQ(q.size(), 1u);
     EXPECT_EQ(occupied, 0b0000'0001u);
@@ -291,7 +285,7 @@ TEST(CoalescerSplit, TwoStepNeedsRowAndOneEssentialWordAndReaders)
     BackingStore store;
     const IdentityLayout nr{true};
 
-    ControllerConfig row = ControllerConfig::forMode(SystemMode::RWoW_NR);
+    ControllerConfig row = controllerFor(presets::RWoW_NR);
     const WowCoalescer wow(row, mapper, nr, store);
     EXPECT_TRUE(wow.splitTwoStep(1, true));
     EXPECT_FALSE(wow.splitTwoStep(1, false)) << "no reads waiting";
@@ -299,7 +293,7 @@ TEST(CoalescerSplit, TwoStepNeedsRowAndOneEssentialWordAndReaders)
     EXPECT_FALSE(wow.splitMultiStep(2, true))
         << "WoW consolidates in parallel instead of serializing";
 
-    ControllerConfig solo = ControllerConfig::forMode(SystemMode::RoW_NR);
+    ControllerConfig solo = controllerFor(presets::RoW_NR);
     solo.rowMultiWordWrites = true;
     const PassThroughCoalescer pass(solo, mapper, nr, store);
     EXPECT_TRUE(pass.splitTwoStep(1, true));
@@ -307,7 +301,7 @@ TEST(CoalescerSplit, TwoStepNeedsRowAndOneEssentialWordAndReaders)
     EXPECT_FALSE(pass.splitMultiStep(1, true)) << "two-step covers n=1";
 
     ControllerConfig wow_only =
-        ControllerConfig::forMode(SystemMode::WoW_NR);
+        controllerFor(presets::WoW_NR);
     const WowCoalescer no_row(wow_only, mapper, nr, store);
     EXPECT_FALSE(no_row.splitTwoStep(1, true)) << "RoW disabled";
 }

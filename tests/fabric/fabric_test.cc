@@ -120,7 +120,7 @@ runAndExport(const SystemConfig &cfg)
 TEST(FabricCompat, SingleClosedTenantZeroLinkMatchesLegacyByteForByte)
 {
     SystemConfig legacy;
-    legacy.mode = SystemMode::RWoW_RDE;
+    presets::RWoW_RDE.applyTo(legacy.controller);
     legacy.numCores = 4;
     legacy.instructionsPerCore = 20'000;
     legacy.seed = 7;
@@ -162,7 +162,7 @@ TEST(FabricDeterminism, SweepJsonlIdenticalAcrossThreadCounts)
     sweep::SweepSpec spec;
     spec.workloads = {"MP1"};
     spec.seeds = {1};
-    spec.modes = {SystemMode::Baseline, SystemMode::RWoW_RDE};
+    spec.systems = {presets::Baseline, presets::RWoW_RDE};
     spec.configs[0].base.fabric = mixedFabric(8.0, 2'000);
 
     sweep::SweepRunner::Options one;
@@ -179,7 +179,7 @@ TEST(FabricDeterminism, SweepJsonlIdenticalAcrossThreadCounts)
 TEST(FabricObs, LinkTracingDoesNotPerturbResults)
 {
     SystemConfig off;
-    off.mode = SystemMode::RWoW_RDE;
+    presets::RWoW_RDE.applyTo(off.controller);
     off.numCores = 4;
     off.seed = 3;
     off.fabric = mixedFabric(8.0, 2'000);
@@ -201,7 +201,7 @@ TEST(FabricLink, SaturationAttributesQueueingAndHonorsPriority)
     // wait, strict priority must favor the LS tenant, and the bounded
     // queues must reject some arrivals.
     SystemConfig cfg;
-    cfg.mode = SystemMode::Baseline;
+    presets::Baseline.applyTo(cfg.controller);
     cfg.numCores = 4;
     cfg.seed = 11;
     cfg.fabric.tenants.resize(2);

@@ -15,10 +15,10 @@ namespace pcmap {
 namespace {
 
 SystemConfig
-cfgFor(SystemMode mode, std::uint64_t insts = 150'000)
+cfgFor(const ControllerPolicy &system, std::uint64_t insts = 150'000)
 {
     SystemConfig cfg;
-    cfg.mode = mode;
+    system.applyTo(cfg.controller);
     cfg.numCores = 8;
     cfg.instructionsPerCore = insts;
     cfg.seed = 11;
@@ -28,9 +28,9 @@ cfgFor(SystemMode mode, std::uint64_t insts = 150'000)
 TEST(EndToEnd, PcmapBoostsIrlpOverBaseline)
 {
     const SystemResults base =
-        runWorkload(cfgFor(SystemMode::Baseline), "MP1");
+        runWorkload(cfgFor(presets::Baseline), "MP1");
     const SystemResults rde =
-        runWorkload(cfgFor(SystemMode::RWoW_RDE), "MP1");
+        runWorkload(cfgFor(presets::RWoW_RDE), "MP1");
     // Paper: 2.37 -> 4.5 on average.  Insist on a clear gain.
     EXPECT_GT(rde.irlpMean, base.irlpMean * 1.3);
     // Baseline IRLP is essentially the mean essential-word count.
@@ -40,27 +40,27 @@ TEST(EndToEnd, PcmapBoostsIrlpOverBaseline)
 TEST(EndToEnd, PcmapImprovesWriteThroughput)
 {
     const SystemResults base =
-        runWorkload(cfgFor(SystemMode::Baseline), "MP4");
+        runWorkload(cfgFor(presets::Baseline), "MP4");
     const SystemResults rde =
-        runWorkload(cfgFor(SystemMode::RWoW_RDE), "MP4");
+        runWorkload(cfgFor(presets::RWoW_RDE), "MP4");
     EXPECT_GT(rde.writeThroughput, base.writeThroughput * 1.05);
 }
 
 TEST(EndToEnd, PcmapReducesEffectiveReadLatency)
 {
     const SystemResults base =
-        runWorkload(cfgFor(SystemMode::Baseline), "canneal");
+        runWorkload(cfgFor(presets::Baseline), "canneal");
     const SystemResults rde =
-        runWorkload(cfgFor(SystemMode::RWoW_RDE), "canneal");
+        runWorkload(cfgFor(presets::RWoW_RDE), "canneal");
     EXPECT_LT(rde.avgReadLatencyNs, base.avgReadLatencyNs);
 }
 
 TEST(EndToEnd, PcmapImprovesIpc)
 {
     const SystemResults base =
-        runWorkload(cfgFor(SystemMode::Baseline), "MP1");
+        runWorkload(cfgFor(presets::Baseline), "MP1");
     const SystemResults rde =
-        runWorkload(cfgFor(SystemMode::RWoW_RDE), "MP1");
+        runWorkload(cfgFor(presets::RWoW_RDE), "MP1");
     EXPECT_GT(rde.ipcSum, base.ipcSum);
 }
 
@@ -70,11 +70,11 @@ TEST(EndToEnd, MechanismOrderingHolds)
     // full rotation system should not lose to no-rotation, on a
     // workload with enough write pressure.
     const SystemResults row =
-        runWorkload(cfgFor(SystemMode::RoW_NR), "MP4");
+        runWorkload(cfgFor(presets::RoW_NR), "MP4");
     const SystemResults rwow =
-        runWorkload(cfgFor(SystemMode::RWoW_NR), "MP4");
+        runWorkload(cfgFor(presets::RWoW_NR), "MP4");
     const SystemResults rde =
-        runWorkload(cfgFor(SystemMode::RWoW_RDE), "MP4");
+        runWorkload(cfgFor(presets::RWoW_RDE), "MP4");
     EXPECT_GE(rwow.ipcSum, row.ipcSum * 0.97);
     EXPECT_GE(rde.ipcSum, rwow.ipcSum * 0.97);
 }
@@ -84,14 +84,14 @@ TEST(EndToEnd, BaselineReadsSufferFromWrites)
     // Figure 1's phenomenon: a visible share of reads is delayed by
     // write service in the baseline.
     const SystemResults base =
-        runWorkload(cfgFor(SystemMode::Baseline), "MP4");
+        runWorkload(cfgFor(presets::Baseline), "MP4");
     EXPECT_GT(base.pctReadsDelayedByWrite, 5.0);
 }
 
 TEST(EndToEnd, RoWServesReadsDuringWrites)
 {
     const SystemResults rde =
-        runWorkload(cfgFor(SystemMode::RWoW_RDE), "canneal");
+        runWorkload(cfgFor(presets::RWoW_RDE), "canneal");
     EXPECT_GT(rde.specReads, 0u);
     EXPECT_GT(rde.rowReads + rde.deferredEccReads, 0u);
 }
@@ -99,7 +99,7 @@ TEST(EndToEnd, RoWServesReadsDuringWrites)
 TEST(EndToEnd, WoWConsolidatesWrites)
 {
     const SystemResults rde =
-        runWorkload(cfgFor(SystemMode::RWoW_RDE), "MP4");
+        runWorkload(cfgFor(presets::RWoW_RDE), "MP4");
     EXPECT_GT(rde.wowGroups, 0u);
     EXPECT_GT(rde.wowMergedWrites, 0u);
 }
@@ -107,9 +107,9 @@ TEST(EndToEnd, WoWConsolidatesWrites)
 TEST(EndToEnd, RotationIncreasesMergeRate)
 {
     const SystemResults nr =
-        runWorkload(cfgFor(SystemMode::RWoW_NR), "MP4");
+        runWorkload(cfgFor(presets::RWoW_NR), "MP4");
     const SystemResults rd =
-        runWorkload(cfgFor(SystemMode::RWoW_RD), "MP4");
+        runWorkload(cfgFor(presets::RWoW_RD), "MP4");
     // Same-offset clustering blocks merges without rotation.
     EXPECT_GE(rd.wowMergedWrites, nr.wowMergedWrites);
 }
@@ -118,13 +118,13 @@ TEST(EndToEnd, FaultyModeCostsIpcButNeverBelowBaseline)
 {
     // Table IV: assuming every speculative read faulty costs some
     // IPC, yet RoW still beats the baseline.
-    SystemConfig faulty = cfgFor(SystemMode::RWoW_RDE);
+    SystemConfig faulty = cfgFor(presets::RWoW_RDE);
     faulty.core.assumeAlwaysFaulty = true;
     const SystemResults f = runWorkload(faulty, "canneal");
     const SystemResults clean =
-        runWorkload(cfgFor(SystemMode::RWoW_RDE), "canneal");
+        runWorkload(cfgFor(presets::RWoW_RDE), "canneal");
     const SystemResults base =
-        runWorkload(cfgFor(SystemMode::Baseline), "canneal");
+        runWorkload(cfgFor(presets::Baseline), "canneal");
     // Rollback penalties perturb global scheduling, so allow a small
     // butterfly margin on the upper bound.
     EXPECT_LE(f.ipcSum, clean.ipcSum * 1.02);
@@ -137,7 +137,7 @@ TEST(EndToEnd, FaultyModeCostsIpcButNeverBelowBaseline)
 TEST(EndToEnd, NoRollbacksWithoutFaults)
 {
     const SystemResults r =
-        runWorkload(cfgFor(SystemMode::RWoW_RDE), "MP1");
+        runWorkload(cfgFor(presets::RWoW_RDE), "MP1");
     EXPECT_EQ(r.rollbacks, 0u);
 }
 
@@ -147,7 +147,7 @@ TEST(EndToEnd, MostReadsConsumedAfterVerification)
     // before the deferred check; our commit-delay model should keep
     // the consumed-before-verify fraction small.
     const SystemResults r =
-        runWorkload(cfgFor(SystemMode::RWoW_RDE), "canneal");
+        runWorkload(cfgFor(presets::RWoW_RDE), "canneal");
     if (r.specReads > 100) {
         const double frac =
             static_cast<double>(r.consumedBeforeVerify) /
@@ -161,10 +161,10 @@ TEST(EndToEnd, LatencyRatioSweepKeepsImproving)
     // Table III direction: at a higher write-to-read ratio, PCMap's
     // relative IPC gain does not shrink.
     auto gain_at = [](double read_ns) {
-        SystemConfig base = cfgFor(SystemMode::Baseline, 100'000);
-        base.timing.arrayReadNs = read_ns;
-        SystemConfig rde = cfgFor(SystemMode::RWoW_RDE, 100'000);
-        rde.timing.arrayReadNs = read_ns;
+        SystemConfig base = cfgFor(presets::Baseline, 100'000);
+        base.controller.timing.arrayReadNs = read_ns;
+        SystemConfig rde = cfgFor(presets::RWoW_RDE, 100'000);
+        rde.controller.timing.arrayReadNs = read_ns;
         const double b = runWorkload(base, "MP4").ipcSum;
         const double r = runWorkload(rde, "MP4").ipcSum;
         return r / b;

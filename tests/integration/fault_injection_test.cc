@@ -31,10 +31,10 @@ corruptLines(System &sys, unsigned lines, std::uint64_t seed)
 }
 
 SystemConfig
-cfgFor(SystemMode mode)
+cfgFor(const ControllerPolicy &system)
 {
     SystemConfig cfg;
-    cfg.mode = mode;
+    system.applyTo(cfg.controller);
     cfg.numCores = 4;
     cfg.instructionsPerCore = 100'000;
     cfg.seed = 41;
@@ -45,7 +45,7 @@ TEST(FaultInjection, BaselineCorrectsInline)
 {
     // Plain reads run inline SECDED: corruption never escapes, no
     // speculative machinery exists to roll back.
-    System sys(cfgFor(SystemMode::Baseline),
+    System sys(cfgFor(presets::Baseline),
                workload::makeWorkload("MP4", 4));
     corruptLines(sys, 300'000, 1);
     const SystemResults r = sys.run();
@@ -56,7 +56,7 @@ TEST(FaultInjection, BaselineCorrectsInline)
 
 TEST(FaultInjection, PcmapDetectsFaultsOnDeferredVerify)
 {
-    System sys(cfgFor(SystemMode::RWoW_RDE),
+    System sys(cfgFor(presets::RWoW_RDE),
                workload::makeWorkload("MP4", 4));
     corruptLines(sys, 600'000, 2);
     const SystemResults r = sys.run();
@@ -74,7 +74,7 @@ TEST(FaultInjection, RealFaultsCanRollBack)
     // With enough corruption, at least one faulty speculative read is
     // consumed before its check and triggers a genuine rollback —
     // without the Table IV always-faulty assumption.
-    SystemConfig cfg = cfgFor(SystemMode::RWoW_RDE);
+    SystemConfig cfg = cfgFor(presets::RWoW_RDE);
     cfg.core.commitDelay = 0; // consume instantly: maximal exposure
     System sys(cfg, workload::makeWorkload("canneal", 4));
     corruptLines(sys, 600'000, 3);
@@ -90,7 +90,7 @@ TEST(FaultInjection, RealFaultsCanRollBack)
 
 TEST(FaultInjection, CleanRunHasNoFaults)
 {
-    System sys(cfgFor(SystemMode::RWoW_RDE),
+    System sys(cfgFor(presets::RWoW_RDE),
                workload::makeWorkload("MP4", 4));
     const SystemResults r = sys.run();
     std::uint64_t faults = 0;

@@ -45,7 +45,7 @@ sweep::SweepSpec
 quickstartSpec()
 {
     sweep::SweepSpec spec;
-    spec.modes = {SystemMode::Baseline, SystemMode::RWoW_RDE};
+    spec.systems = {presets::Baseline, presets::RWoW_RDE};
     spec.workloads = {"MP1"};
     spec.seeds = {1};
     spec.orgs.assign(std::begin(kAllOrgs), std::end(kAllOrgs));
@@ -94,7 +94,7 @@ measure()
         // Round-level counters exist only for multi-round (MLC+)
         // organizations; gating here keeps the slc golden rows
         // byte-identical to the pre-org-axis snapshot.
-        if (rec.point.config.timing.writeRounds > 1) {
+        if (rec.point.config.controller.timing.writeRounds > 1) {
             out[{mode, "writeRoundsIssued"}] =
                 static_cast<double>(r.writeRoundsIssued);
             out[{mode, "writeRoundPauses"}] =

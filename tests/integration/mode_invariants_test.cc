@@ -1,9 +1,9 @@
 /**
  * @file
- * Cross-cutting invariants that must hold for EVERY system mode and
+ * Cross-cutting invariants that must hold for EVERY paper system and
  * workload class: request conservation, metric bounds, mechanism
  * gating, and accounting consistency.  Parameterized over the full
- * (mode x workload) grid as a property soak.
+ * (system x workload) grid as a property soak.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "core/system.h"
+#include "paper_systems.h"
 
 namespace pcmap {
 namespace {
@@ -19,7 +20,7 @@ namespace {
 // The workload is a std::string, not a const char *: gtest prints a
 // pointer parameter by address, and ctest names carry that printout, so
 // a pointer would give every build different test names.
-using GridParam = std::tuple<SystemMode, std::string>;
+using GridParam = std::tuple<PaperSystem, std::string>;
 
 class ModeInvariants : public ::testing::TestWithParam<GridParam>
 {
@@ -28,7 +29,7 @@ class ModeInvariants : public ::testing::TestWithParam<GridParam>
     run()
     {
         SystemConfig cfg;
-        cfg.mode = std::get<0>(GetParam());
+        std::get<0>(GetParam()).policy().applyTo(cfg.controller);
         cfg.numCores = 4;
         cfg.instructionsPerCore = 80'000;
         cfg.seed = 29;
@@ -84,25 +85,16 @@ TEST_P(ModeInvariants, MetricsWithinPhysicalBounds)
 TEST_P(ModeInvariants, MechanismGating)
 {
     const SystemResults r = run();
-    const SystemMode mode = std::get<0>(GetParam());
+    const ControllerPolicy &system = std::get<0>(GetParam()).policy();
 
-    const bool row_mode = mode == SystemMode::RoW_NR ||
-                          mode == SystemMode::RWoW_NR ||
-                          mode == SystemMode::RWoW_RD ||
-                          mode == SystemMode::RWoW_RDE;
-    const bool wow_mode = mode == SystemMode::WoW_NR ||
-                          mode == SystemMode::RWoW_NR ||
-                          mode == SystemMode::RWoW_RD ||
-                          mode == SystemMode::RWoW_RDE;
-
-    if (!row_mode) {
+    if (!system.enableRoW) {
         EXPECT_EQ(r.specReads, 0u);
         EXPECT_EQ(r.rowReads, 0u);
         EXPECT_EQ(r.deferredEccReads, 0u);
         EXPECT_EQ(r.twoStepWrites, 0u);
         EXPECT_EQ(r.rollbacks, 0u);
     }
-    if (!wow_mode) {
+    if (!system.enableWoW) {
         EXPECT_EQ(r.wowGroups, 0u);
         EXPECT_EQ(r.wowMergedWrites, 0u);
     }
@@ -125,32 +117,26 @@ TEST_P(ModeInvariants, DeterministicReplay)
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, ModeInvariants,
-    ::testing::Combine(::testing::ValuesIn(kAllModes),
+    ::testing::Combine(::testing::ValuesIn(allPaperSystems()),
                        ::testing::Values(std::string("MP1"),
                                          std::string("MP4"),
                                          std::string("canneal"),
                                          std::string("freqmine"))),
     [](const ::testing::TestParamInfo<GridParam> &info) {
-        std::string name = systemModeName(std::get<0>(info.param));
-        name += "_";
-        name += std::get<1>(info.param);
-        for (char &c : name) {
-            if (c == '-')
-                c = '_';
-        }
-        return name;
+        return std::get<0>(info.param).testName() + "_" +
+               std::get<1>(info.param);
     });
 
 /** Multi-rank organizations must satisfy the same invariants. */
 class MultiRankInvariants
-    : public ::testing::TestWithParam<std::tuple<SystemMode, unsigned>>
+    : public ::testing::TestWithParam<std::tuple<PaperSystem, unsigned>>
 {
 };
 
 TEST_P(MultiRankInvariants, RunsCleanly)
 {
     SystemConfig cfg;
-    cfg.mode = std::get<0>(GetParam());
+    std::get<0>(GetParam()).policy().applyTo(cfg.controller);
     cfg.geometry.ranksPerChannel = std::get<1>(GetParam());
     cfg.numCores = 4;
     cfg.instructionsPerCore = 60'000;
@@ -165,7 +151,7 @@ TEST_P(MultiRankInvariants, RunsCleanly)
 TEST_P(MultiRankInvariants, MoreRanksNeverHurt)
 {
     SystemConfig one;
-    one.mode = std::get<0>(GetParam());
+    std::get<0>(GetParam()).policy().applyTo(one.controller);
     one.numCores = 4;
     one.instructionsPerCore = 60'000;
     one.seed = 31;
@@ -178,18 +164,12 @@ TEST_P(MultiRankInvariants, MoreRanksNeverHurt)
 
 INSTANTIATE_TEST_SUITE_P(
     Organizations, MultiRankInvariants,
-    ::testing::Combine(::testing::Values(SystemMode::Baseline,
-                                         SystemMode::RWoW_RDE),
+    ::testing::Combine(::testing::Values(PaperSystem{0}, PaperSystem{5}),
                        ::testing::Values(2u, 4u)),
-    [](const ::testing::TestParamInfo<std::tuple<SystemMode, unsigned>>
+    [](const ::testing::TestParamInfo<std::tuple<PaperSystem, unsigned>>
            &info) {
-        std::string name = systemModeName(std::get<0>(info.param));
-        name += "_ranks" + std::to_string(std::get<1>(info.param));
-        for (char &c : name) {
-            if (c == '-')
-                c = '_';
-        }
-        return name;
+        return std::get<0>(info.param).testName() + "_ranks" +
+               std::to_string(std::get<1>(info.param));
     });
 
 } // namespace

@@ -4,9 +4,10 @@
  *
  * Two guarantees, both byte-level:
  *
- *  1. Every SystemMode preset and its canonical policy composition
- *     (e.g. RWoW-RDE vs "row+wow+rde") produce identical sweep JSONL
- *     modulo the system label, for every preset x smoke workload.
+ *  1. Every preset named on the command line and written as its
+ *     canonical composition (modes=RWoW-RDE vs policy=row+wow+rde)
+ *     produces identical sweep JSONL, label included, for every
+ *     preset x smoke workload.
  *
  *  2. The six presets' JSONL output — across all four device
  *     organizations, slc block first — matches a checked-in snapshot
@@ -31,6 +32,7 @@
 #include "cache/tier.h"
 #include "core/policy/controller_policy.h"
 #include "fabric/fabric.h"
+#include "sweep/sweep_cli.h"
 #include "sweep/sweep_io.h"
 #include "sweep/sweep_runner.h"
 
@@ -60,41 +62,27 @@ runJsonl(const sweep::SweepSpec &spec)
     return sweep::toJsonl(sweep::SweepRunner(opts).run(spec));
 }
 
-/** Replace every occurrence of @p from in @p text with @p to. */
-std::string
-relabel(std::string text, const std::string &from, const std::string &to)
+/** smokeSpec() as the command line spells it, plus @p key=@p value. */
+sweep::SweepSpec
+smokeSpecFromKeys(const std::string &key, const std::string &value)
 {
-    const std::string needle = "\"mode\":\"" + from + "\"";
-    const std::string repl = "\"mode\":\"" + to + "\"";
-    std::size_t pos = 0;
-    while ((pos = text.find(needle, pos)) != std::string::npos) {
-        text.replace(pos, needle.size(), repl);
-        pos += repl.size();
-    }
-    return text;
+    Config args;
+    args.set("workloads", std::string("MP1,canneal"));
+    args.set("insts", std::int64_t{15'000});
+    args.set(key, value);
+    return sweep::specFromConfig(args);
 }
 
 TEST(PolicyEquivalence, EveryPresetMatchesItsComposition)
 {
-    for (const SystemMode mode : kAllModes) {
-        const std::string composition =
-            ControllerPolicy::forMode(mode).composition();
-
-        sweep::SweepSpec as_mode = smokeSpec();
-        as_mode.modes = {mode};
-
-        // Force the composition down the policy-axis path (bypass the
-        // preset routing the CLI does) so the composed ControllerConfig
-        // itself is what gets exercised.
-        sweep::SweepSpec as_policy = smokeSpec();
-        as_policy.modes.clear();
-        as_policy.policies = {composition};
-
-        const std::string via_mode = runJsonl(as_mode);
-        const std::string via_policy = runJsonl(as_policy);
-        EXPECT_EQ(relabel(via_policy, composition, systemModeName(mode)),
-                  via_mode)
-            << systemModeName(mode) << " vs " << composition
+    for (const ControllerPolicy &preset : kPaperSystems) {
+        const std::string composition = preset.composition();
+        const std::string via_mode =
+            runJsonl(smokeSpecFromKeys("modes", preset.label()));
+        const std::string via_policy =
+            runJsonl(smokeSpecFromKeys("policy", composition));
+        EXPECT_EQ(via_policy, via_mode)
+            << preset.label() << " vs " << composition
             << ": the composed policy must be byte-identical to the "
                "preset";
     }
@@ -105,7 +93,6 @@ sweep::SweepSpec
 goldenSpec()
 {
     sweep::SweepSpec spec = smokeSpec();
-    spec.modes.assign(std::begin(kAllModes), std::end(kAllModes));
     spec.orgs.assign(std::begin(kAllOrgs), std::end(kAllOrgs));
     return spec;
 }
@@ -122,7 +109,7 @@ fabricGoldenSpec()
     sweep::SweepSpec spec;
     spec.workloads = {"MP1"};
     spec.seeds = {1};
-    spec.modes = {SystemMode::Baseline, SystemMode::RWoW_RDE};
+    spec.systems = {presets::Baseline, presets::RWoW_RDE};
     spec.configs[0].name = "fabric";
     fabric::FabricConfig &fab = spec.configs[0].base.fabric;
     fab.tenants.resize(4);
@@ -152,7 +139,7 @@ cacheGoldenSpec()
     sweep::SweepSpec spec;
     spec.workloads = {"MP1"};
     spec.seeds = {1};
-    spec.modes = {SystemMode::Baseline, SystemMode::RWoW_RDE};
+    spec.systems = {presets::Baseline, presets::RWoW_RDE};
     spec.configs[0].name = "cache-lru";
     spec.configs[0].base.instructionsPerCore = 15'000;
     spec.configs[0].base.tier =
@@ -231,9 +218,7 @@ TEST(PolicyEquivalence, SlcGoldenPrefixEqualsLegacySixPresetSweep)
     // golden matrix must be byte-for-byte what the pre-org-axis
     // six-preset sweep produced — org=slc is not allowed to perturb a
     // single existing row.
-    sweep::SweepSpec legacy = smokeSpec();
-    legacy.modes.assign(std::begin(kAllModes), std::end(kAllModes));
-    const std::string legacy_jsonl = runJsonl(legacy);
+    const std::string legacy_jsonl = runJsonl(smokeSpec());
     const std::string full = runJsonl(goldenSpec());
     ASSERT_FALSE(legacy_jsonl.empty());
     ASSERT_GT(full.size(), legacy_jsonl.size());

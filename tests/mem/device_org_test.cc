@@ -199,7 +199,7 @@ TEST(DeviceOrgCli, ParseOrgsRejectsUnknownWithSuggestion)
 TEST(DeviceOrgSpec, LabelCarriesOrgSuffixOffDefault)
 {
     sweep::SweepPoint p;
-    p.mode = SystemMode::Baseline;
+    p.system = presets::Baseline;
     p.workload = "MP1";
     const std::string base = p.label();
     p.org = DeviceOrg::Tlc;
@@ -227,14 +227,14 @@ TEST(DeviceOrgSpec, ExpandIsOrgMajorWithSlcPrefixIdenticalToLegacy)
         EXPECT_EQ(multi_pts[i].index, legacy_pts[i].index);
         EXPECT_EQ(multi_pts[i].label(), legacy_pts[i].label());
         EXPECT_EQ(multi_pts[i].runSeed, legacy_pts[i].runSeed);
-        EXPECT_EQ(multi_pts[i].config.timing.writeRounds, 1u);
+        EXPECT_EQ(multi_pts[i].config.controller.timing.writeRounds, 1u);
     }
     // Later blocks carry the denser timing tables.
     for (std::size_t i = legacy_pts.size(); i < multi_pts.size(); ++i) {
         const auto &pt = multi_pts[i];
         EXPECT_NE(pt.org, DeviceOrg::Slc);
-        EXPECT_EQ(pt.config.timing.org, pt.org);
-        EXPECT_GT(pt.config.timing.writeRounds, 1u);
+        EXPECT_EQ(pt.config.controller.timing.org, pt.org);
+        EXPECT_GT(pt.config.controller.timing.writeRounds, 1u);
     }
 }
 
@@ -258,8 +258,8 @@ TEST(DeviceOrgSpec, StableSerializeMentionsOrgsOnlyOffDefault)
     // round count, so two configs differing only in org can't
     // fingerprint-collide.
     sweep::SweepSpec cfg = legacy;
-    cfg.configs[0].base.timing =
-        cfg.configs[0].base.timing.withOrg(DeviceOrg::Mlc);
+    cfg.configs[0].base.controller.timing =
+        cfg.configs[0].base.controller.timing.withOrg(DeviceOrg::Mlc);
     EXPECT_NE(sweep::stableSerialize(cfg).find("org=mlc,2"),
               std::string::npos);
 }

@@ -45,7 +45,7 @@ SystemConfig
 baseConfig()
 {
     SystemConfig cfg;
-    cfg.mode = SystemMode::RWoW_RDE;
+    presets::RWoW_RDE.applyTo(cfg.controller);
     cfg.instructionsPerCore = 6000;
     return cfg;
 }
@@ -78,7 +78,7 @@ configMatrix()
         for (const bool tier_on : {false, true}) {
             for (const bool fab_on : {false, true}) {
                 SystemConfig cfg = baseConfig();
-                cfg.timing = PcmTiming::forOrg(org);
+                cfg.controller.timing = PcmTiming::forOrg(org);
                 if (tier_on)
                     // Small enough that dirty victims actually drain,
                     // populating the writeback family.
@@ -113,7 +113,7 @@ TEST(AttribTest, AttributionNeverChangesResults)
         const SystemResults off = runOnce(cfg, false, nullptr, a);
         const SystemResults on = runOnce(cfg, true, nullptr, b);
         const std::string what =
-            std::string(deviceOrgName(cfg.timing.org)) +
+            std::string(deviceOrgName(cfg.controller.timing.org)) +
             (cfg.tier.enabled() ? "+tier" : "") +
             (cfg.fabric.enabled() ? "+fabric" : "");
         EXPECT_EQ(off.simTicks, on.simTicks) << what;
@@ -149,7 +149,7 @@ TEST(AttribTest, PhaseSumsConserveExactly)
             sys->observer()->attribCollector();
         ASSERT_NE(col, nullptr);
         const std::string what =
-            std::string(deviceOrgName(cfg.timing.org)) +
+            std::string(deviceOrgName(cfg.controller.timing.org)) +
             (cfg.tier.enabled() ? "+tier" : "") +
             (cfg.fabric.enabled() ? "+fabric" : "");
 
@@ -245,7 +245,7 @@ TEST(AttribTest, TenantAttributionFollowsTheFabricPartition)
 TEST(AttribTest, AttribJsonlIsThreadCountInvariant)
 {
     sweep::SweepSpec spec;
-    spec.modes = {SystemMode::Baseline, SystemMode::RWoW_RDE};
+    spec.systems = {presets::Baseline, presets::RWoW_RDE};
     spec.workloads = {"MP1", "streamcluster"};
     spec.configs[0].base.instructionsPerCore = 3000;
     spec.configs[0].base.tier =

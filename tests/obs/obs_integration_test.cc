@@ -31,7 +31,7 @@ SystemConfig
 baseConfig()
 {
     SystemConfig cfg;
-    cfg.mode = SystemMode::RWoW_RDE;
+    presets::RWoW_RDE.applyTo(cfg.controller);
     cfg.instructionsPerCore = 6000;
     return cfg;
 }
@@ -88,12 +88,12 @@ TEST(ObsIntegrationTest, ObservabilityIsInvariantForEveryDeviceOrg)
     // covers the coarse round-boundary abort path (cancellation only
     // exists on the conventional-DIMM baseline).
     std::vector<SystemConfig> bases(2, baseConfig());
-    bases[1].mode = SystemMode::Baseline;
-    bases[1].enableWriteCancellation = true;
+    presets::Baseline.applyTo(bases[1].controller);
+    bases[1].controller.enableWriteCancellation = true;
     for (const SystemConfig &base : bases)
     for (const DeviceOrg org : kAllOrgs) {
         SystemConfig plain = base;
-        plain.timing = PcmTiming::forOrg(org);
+        plain.controller.timing = PcmTiming::forOrg(org);
         System a(plain, workload::makeWorkload("streamcluster",
                                                plain.numCores));
         const SystemResults off = a.run();
@@ -260,7 +260,7 @@ TEST(ObsIntegrationTest, DisabledObsCreatesNoObserver)
 TEST(ObsIntegrationTest, SweepObsFilesAreThreadCountInvariant)
 {
     sweep::SweepSpec spec;
-    spec.modes = {SystemMode::Baseline, SystemMode::RWoW_RDE};
+    spec.systems = {presets::Baseline, presets::RWoW_RDE};
     spec.workloads = {"MP1", "streamcluster"};
     spec.configs[0].base.instructionsPerCore = 3000;
 

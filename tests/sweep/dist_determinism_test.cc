@@ -29,7 +29,7 @@ SweepSpec
 matrixSpec()
 {
     SweepSpec spec;
-    spec.modes = {SystemMode::Baseline, SystemMode::RWoW_RDE};
+    spec.systems = {presets::Baseline, presets::RWoW_RDE};
     spec.workloads = {"MP1", "MP4", "canneal"};
     spec.configs[0].base.instructionsPerCore = 3000;
     return spec;

@@ -59,8 +59,8 @@ TEST(SweepCli, ParseModesGroupsAndLists)
     EXPECT_EQ(parseModes("pcmap").size(), 5u);
     const auto modes = parseModes("Baseline,RWoW-RDE");
     ASSERT_EQ(modes.size(), 2u);
-    EXPECT_EQ(modes[0], SystemMode::Baseline);
-    EXPECT_EQ(modes[1], SystemMode::RWoW_RDE);
+    EXPECT_EQ(modes[0], presets::Baseline);
+    EXPECT_EQ(modes[1], presets::RWoW_RDE);
 
     ScopedErrorTrap trap;
     EXPECT_THROW(parseModes("NoSuchMode"), SimError);
@@ -88,7 +88,7 @@ TEST(SweepCli, SpecFromConfigAppliesDefaultsAndOverrides)
     const SweepSpec defaults = specFromConfig(args);
     EXPECT_EQ(defaults.workloads,
               (std::vector<std::string>{"MP1", "MP4"}));
-    EXPECT_EQ(defaults.modes.size(), 6u);
+    EXPECT_EQ(defaults.systems.size(), 6u);
     EXPECT_EQ(defaults.seeds, (std::vector<std::uint64_t>{1}));
     EXPECT_EQ(defaults.configs[0].base.instructionsPerCore, 200'000u);
 
@@ -97,8 +97,8 @@ TEST(SweepCli, SpecFromConfigAppliesDefaultsAndOverrides)
     args.set("insts", std::int64_t{1234});
     args.set("cores", std::int64_t{2});
     const SweepSpec spec = specFromConfig(args);
-    EXPECT_EQ(spec.modes, (std::vector<SystemMode>{
-                              SystemMode::Baseline}));
+    EXPECT_EQ(spec.systems,
+              (std::vector<ControllerPolicy>{presets::Baseline}));
     EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{4, 5}));
     EXPECT_EQ(spec.configs[0].base.instructionsPerCore, 1234u);
     EXPECT_EQ(spec.configs[0].base.numCores, 2u);
@@ -141,17 +141,25 @@ TEST(SweepCli, ParsePoliciesRejectsUnknownComponentsWithClearError)
     }
 }
 
+/** The report labels of @p spec's systems, in axis order. */
+std::vector<std::string>
+systemLabels(const SweepSpec &spec)
+{
+    std::vector<std::string> labels;
+    for (const ControllerPolicy &system : spec.systems)
+        labels.push_back(system.label());
+    return labels;
+}
+
 TEST(SweepCli, PolicyKeyRoutesPresetsOntoTheModeAxis)
 {
-    // Preset-equivalent compositions join the modes axis so their
-    // sweep rows are byte-identical to the named mode.
+    // A preset-equivalent composition is the preset, labelled by its
+    // name, so its sweep rows are byte-identical to the named mode.
     Config args;
     args.set("workloads", std::string("MP1"));
     args.set("policy", std::string("row+wow+rde"));
     const SweepSpec spec = specFromConfig(args);
-    EXPECT_EQ(spec.modes,
-              (std::vector<SystemMode>{SystemMode::RWoW_RDE}));
-    EXPECT_TRUE(spec.policies.empty());
+    EXPECT_EQ(systemLabels(spec), (std::vector<std::string>{"RWoW-RDE"}));
     EXPECT_EQ(spec.size(), 1u);
 }
 
@@ -161,10 +169,10 @@ TEST(SweepCli, PolicyKeyPutsNonPresetsOnThePolicyAxis)
     args.set("workloads", std::string("MP1"));
     args.set("policy", std::string("fg,row+wow"));
     const SweepSpec spec = specFromConfig(args);
-    EXPECT_EQ(spec.modes,
-              (std::vector<SystemMode>{SystemMode::RWoW_NR}))
+    // Presets go ahead of compositions, whatever the order given.
+    EXPECT_EQ(systemLabels(spec),
+              (std::vector<std::string>{"RWoW-NR", "fg"}))
         << "row+wow is the RWoW-NR preset";
-    EXPECT_EQ(spec.policies, (std::vector<std::string>{"fg"}));
     EXPECT_EQ(spec.size(), 2u);
 }
 
@@ -175,10 +183,36 @@ TEST(SweepCli, PolicyKeyCombinesWithExplicitModes)
     args.set("modes", std::string("Baseline"));
     args.set("policy", std::string("fg+rd"));
     const SweepSpec spec = specFromConfig(args);
-    EXPECT_EQ(spec.modes,
-              (std::vector<SystemMode>{SystemMode::Baseline}));
-    EXPECT_EQ(spec.policies, (std::vector<std::string>{"fg+rd"}));
+    EXPECT_EQ(systemLabels(spec),
+              (std::vector<std::string>{"Baseline", "fg+rd"}));
     EXPECT_EQ(spec.size(), 2u);
+}
+
+TEST(SweepCli, ModesAndPolicyAcceptBothSpellings)
+{
+    const std::vector<ControllerPolicy> want{presets::RWoW_NR,
+                                             presets::RWoW_RDE};
+    EXPECT_EQ(parseModes("row+wow,rwow_rde"), want);
+    EXPECT_EQ(parsePolicies("RWoW-NR,row+wow+rde"), want);
+}
+
+TEST(SweepCli, CoreCountAboveUintMaxIsFatalNotWrapped)
+{
+    // 4294967304 = 2^32 + 8 would wrap to 8 cores.
+    Config args;
+    args.set("workloads", std::string("MP1"));
+    args.set("cores", std::string("4294967304"));
+    ScopedErrorTrap trap;
+    EXPECT_THROW(specFromConfig(args), SimError);
+}
+
+TEST(SweepCli, TenantCountAboveUintMaxIsFatalNotWrapped)
+{
+    // 4294967297 = 2^32 + 1 would wrap to 1 tenant.
+    Config args;
+    args.set("tenants", std::string("4294967297"));
+    ScopedErrorTrap trap;
+    EXPECT_THROW(fabricFromConfig(args), SimError);
 }
 
 } // namespace

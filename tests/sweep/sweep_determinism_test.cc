@@ -21,7 +21,7 @@ SweepSpec
 matrixSpec()
 {
     SweepSpec spec;
-    spec.modes = {SystemMode::Baseline, SystemMode::RWoW_RDE};
+    spec.systems = {presets::Baseline, presets::RWoW_RDE};
     spec.workloads = {"MP1", "MP4", "canneal", "streamcluster"};
     spec.seeds = {1, 2};
     spec.configs[0].base.instructionsPerCore = 4000;

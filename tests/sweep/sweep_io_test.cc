@@ -13,6 +13,7 @@
 #include <sstream>
 #include <vector>
 
+#include "sweep/sweep_cli.h"
 #include "sweep/sweep_io.h"
 
 namespace pcmap::sweep {
@@ -24,7 +25,7 @@ record(std::size_t index, bool ok)
     RunRecord rec;
     rec.point.index = index;
     rec.point.configName = "default";
-    rec.point.mode = SystemMode::Baseline;
+    rec.point.system = presets::Baseline;
     rec.point.workload = "w" + std::to_string(index);
     rec.point.baseSeed = 1;
     rec.point.runSeed = 100 + index;
@@ -129,10 +130,11 @@ TEST(SpecFingerprint, StableAcrossCallsAndEquivalentSpecs)
     EXPECT_EQ(stableSerialize(a), stableSerialize(b));
     EXPECT_EQ(specFingerprint(a), specFingerprint(b));
 
-    // Fields the expansion overrides per point (base mode/seed) are
+    // Fields the expansion overrides per point (the base's mechanism
+    // switches and seed) are
     // deliberately outside the fingerprint: two specs differing only
     // there describe the same sweep.
-    b.configs[0].base.mode = SystemMode::RWoW_RDE;
+    presets::RWoW_RDE.applyTo(b.configs[0].base.controller);
     b.configs[0].base.seed = 999;
     EXPECT_EQ(specFingerprint(a), specFingerprint(b));
 }
@@ -152,7 +154,7 @@ TEST(SpecFingerprint, ChangesWithAnyResultRelevantField)
     EXPECT_NE(specFingerprint(s), fp);
 
     s = base;
-    s.modes = {SystemMode::Baseline};
+    s.systems = {presets::Baseline};
     EXPECT_NE(specFingerprint(s), fp);
 
     s = base;
@@ -164,7 +166,7 @@ TEST(SpecFingerprint, ChangesWithAnyResultRelevantField)
     EXPECT_NE(specFingerprint(s), fp);
 
     s = base;
-    s.configs[0].base.timing.setNs = 150.0;
+    s.configs[0].base.controller.timing.setNs = 150.0;
     EXPECT_NE(specFingerprint(s), fp);
 
     s = base;
@@ -172,12 +174,61 @@ TEST(SpecFingerprint, ChangesWithAnyResultRelevantField)
     EXPECT_NE(specFingerprint(s), fp);
 
     s = base;
-    s.configs[0].base.perBankWriteQueues = true;
+    s.configs[0].base.controller.perBankWriteQueues = true;
+    EXPECT_NE(specFingerprint(s), fp);
+
+    s = base;
+    s.configs[0].base.controller.maxWriteCancels = 5;
+    EXPECT_NE(specFingerprint(s), fp);
+
+    s = base;
+    s.configs[0].base.controller.cancelMinRemainingFrac = 0.5;
     EXPECT_NE(specFingerprint(s), fp);
 
     s = base;
     s.configs[0].name = "other";
     EXPECT_NE(specFingerprint(s), fp);
+}
+
+// The text behind every shard partial's fingerprint, pinned: a change
+// here orphans the partials of sweeps already in flight.  Built from
+// command-line keys, whose spelling outlives any C++ field name.
+TEST(SpecFingerprint, PinnedTextForPresetAndMixedSpecs)
+{
+    Config six;
+    six.set("workloads", std::string("MP1,canneal"));
+    six.set("modes", std::string("all"));
+    const std::string common = "pcmap-sweep-spec v1\n"
+                               "configs=1\n"
+                               "config.name=default\n"
+                               "geometry=4,1,8,8192,8589934592,0\n"
+                               "timing=2500,60,5,4,4,4,3,60,2,11,2,60,"
+                               "50,120\n"
+                               "core=400,4,32,128,400000,120000,0\n"
+                               "system=8,200000\n"
+                               "queues=8,32,0.8,0.25,0\n"
+                               "switches=1,1,1,1,0,0,0,0,0\n"
+                               "caps=16,8,8,32\n";
+    EXPECT_EQ(stableSerialize(specFromConfig(six)),
+              common + "modes=Baseline,RoW-NR,WoW-NR,RWoW-NR,RWoW-RD,"
+                       "RWoW-RDE\n"
+                       "workloads=MP1,canneal\n"
+                       "seeds=1\n");
+    EXPECT_EQ(fingerprintHex(specFingerprint(specFromConfig(six))),
+              "86d35f76cb75ef5c");
+
+    Config mixed;
+    mixed.set("workloads", std::string("MP1"));
+    mixed.set("policy", std::string("fg,row+wow"));
+    mixed.set("org", std::string("slc,tlc"));
+    EXPECT_EQ(stableSerialize(specFromConfig(mixed)),
+              common + "modes=RWoW-NR\n"
+                       "workloads=MP1\n"
+                       "seeds=1\n"
+                       "policies=fg\n"
+                       "orgs=slc,tlc\n");
+    EXPECT_EQ(fingerprintHex(specFingerprint(specFromConfig(mixed))),
+              "9a7c1939ccc3cf5a");
 }
 
 TEST(SpecFingerprint, HexFormIsFixedWidthLowercase)

@@ -20,7 +20,7 @@ SweepSpec
 tinySpec(std::vector<std::string> workloads)
 {
     SweepSpec spec;
-    spec.modes = {SystemMode::Baseline};
+    spec.systems = {presets::Baseline};
     spec.workloads = std::move(workloads);
     spec.configs[0].base.instructionsPerCore = 4000;
     return spec;
@@ -124,11 +124,11 @@ TEST(SweepRunner, FindLocatesRowsByAxes)
     SweepRunner runner;
     runner.setRunFn([](const SweepPoint &, RunRecord &) {});
     const SweepReport report = runner.run(spec);
-    EXPECT_NE(report.find("default", SystemMode::Baseline, "MP4", 9),
+    EXPECT_NE(report.find("default", "Baseline", "MP4", 9),
               nullptr);
-    EXPECT_EQ(report.find("default", SystemMode::RWoW_RDE, "MP4", 9),
+    EXPECT_EQ(report.find("default", "RWoW-RDE", "MP4", 9),
               nullptr);
-    EXPECT_EQ(report.find("default", SystemMode::Baseline, "MP4", 1),
+    EXPECT_EQ(report.find("default", "Baseline", "MP4", 1),
               nullptr);
 }
 

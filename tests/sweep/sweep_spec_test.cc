@@ -18,8 +18,8 @@ TEST(SweepSpec, ExpansionCountIsAxisProduct)
 {
     SweepSpec spec;
     spec.configs = {ConfigVariant{"a", {}}, ConfigVariant{"b", {}}};
-    spec.modes = {SystemMode::Baseline, SystemMode::RoW_NR,
-                  SystemMode::RWoW_RDE};
+    spec.systems = {presets::Baseline, presets::RoW_NR,
+                    presets::RWoW_RDE};
     spec.workloads = {"MP1", "canneal"};
     spec.seeds = {1, 2};
     EXPECT_EQ(spec.size(), 2u * 3u * 2u * 2u);
@@ -33,7 +33,7 @@ TEST(SweepSpec, DefaultAxesCoverAllSixModes)
     const auto points = spec.expand();
     ASSERT_EQ(points.size(), 6u);
     for (std::size_t i = 0; i < points.size(); ++i)
-        EXPECT_EQ(points[i].mode, kAllModes[i]);
+        EXPECT_EQ(points[i].system, kPaperSystems[i]);
 }
 
 TEST(SweepSpec, IndicesAreDenseAndOrdered)
@@ -54,7 +54,8 @@ TEST(SweepSpec, RunSeedsFollowTheDerivationContract)
     for (const SweepPoint &p : spec.expand()) {
         EXPECT_EQ(p.runSeed, Rng::deriveStream(p.baseSeed, p.index));
         EXPECT_EQ(p.config.seed, p.runSeed);
-        EXPECT_EQ(p.config.mode, p.mode);
+        EXPECT_EQ(ControllerPolicy::fromConfig(p.config.controller),
+                  p.system);
     }
 }
 
@@ -80,29 +81,29 @@ TEST(SweepSpec, ExpansionIsAPureFunctionOfTheSpec)
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].runSeed, b[i].runSeed);
         EXPECT_EQ(a[i].workload, b[i].workload);
-        EXPECT_EQ(a[i].mode, b[i].mode);
+        EXPECT_EQ(a[i].system, b[i].system);
     }
 }
 
 TEST(SweepSpec, PolicyAxisExpandsAfterModes)
 {
+    // Presets and compositions share the system axis, in its order.
     SweepSpec spec;
     spec.workloads = {"MP1"};
-    spec.modes = {SystemMode::Baseline};
-    spec.policies = {"fg", "row+rd"};
+    spec.systems = {presets::Baseline, *ControllerPolicy::parse("fg"),
+                    *ControllerPolicy::parse("row+rd")};
     EXPECT_EQ(spec.size(), 3u);
     const auto points = spec.expand();
     ASSERT_EQ(points.size(), 3u);
 
-    EXPECT_EQ(points[0].mode, SystemMode::Baseline);
-    EXPECT_TRUE(points[0].policy.empty());
-    EXPECT_TRUE(points[0].config.policy.empty());
+    EXPECT_EQ(points[0].system, presets::Baseline);
     EXPECT_EQ(points[0].label(), "Baseline");
 
-    EXPECT_EQ(points[1].policy, "fg");
-    EXPECT_EQ(points[1].config.policy, "fg");
+    EXPECT_EQ(points[1].system.composition(), "fg");
+    EXPECT_EQ(ControllerPolicy::fromConfig(points[1].config.controller),
+              points[1].system);
     EXPECT_EQ(points[1].label(), "fg");
-    EXPECT_EQ(points[2].policy, "row+rd");
+    EXPECT_EQ(points[2].system.composition(), "row+rd");
     EXPECT_EQ(points[2].label(), "row+rd");
     for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_EQ(points[i].index, i);
@@ -115,12 +116,11 @@ TEST(SweepSpec, PolicyOnlySpecNeedsNoModes)
 {
     SweepSpec spec;
     spec.workloads = {"MP1"};
-    spec.modes.clear();
-    spec.policies = {"row+wow"};
+    spec.systems = {*ControllerPolicy::parse("fg+rd")};
     EXPECT_EQ(spec.size(), 1u);
     const auto points = spec.expand();
     ASSERT_EQ(points.size(), 1u);
-    EXPECT_EQ(points[0].label(), "row+wow");
+    EXPECT_EQ(points[0].label(), "fg+rd");
 }
 
 TEST(SweepSpec, EmptyAxesAreFatal)
@@ -131,7 +131,7 @@ TEST(SweepSpec, EmptyAxesAreFatal)
 
     SweepSpec no_system_axis;
     no_system_axis.workloads = {"MP1"};
-    no_system_axis.modes.clear();
+    no_system_axis.systems.clear();
     EXPECT_THROW(no_system_axis.expand(), SimError);
 
     SweepSpec no_seeds;

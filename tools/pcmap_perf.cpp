@@ -2,7 +2,7 @@
  * @file
  * pcmap-perf: measure host-side simulator throughput.
  *
- * Runs a fixed-seed matrix of (mode x workload) simulations and
+ * Runs a fixed-seed matrix of (system x workload) simulations and
  * reports wall-clock kernel metrics — events/sec, simulated
  * requests/sec, schedule-call counts, peak RSS — per point and in
  * aggregate, optionally as JSON (the BENCH_kernel.json format).
@@ -42,7 +42,7 @@ usage()
         "\n"
         "  workloads=LIST  comma list of mix/program names, or a group\n"
         "                  mt | mp | evaluated (default MP1,canneal)\n"
-        "  modes=LIST      comma list of system modes, or all | pcmap\n"
+        "  modes=LIST      comma list of systems, or all | pcmap\n"
         "                  (default all)\n"
         "  org=NAME        PCM cell organization slc|mlc|tlc|qlc\n"
         "                  (default slc)\n"
@@ -63,20 +63,20 @@ usage()
         "  help=1          print this reference and exit");
 }
 
-/** One (mode, workload) simulation, returning its host metrics. */
+/** One (system, workload) simulation, returning its host metrics. */
 perf::RunMetrics
-measurePoint(SystemMode mode, const std::string &workload,
+measurePoint(const ControllerPolicy &system, const std::string &workload,
              std::uint64_t insts, unsigned cores, std::uint64_t seed,
              DeviceOrg org, const fabric::FabricConfig &fab)
 {
     SystemConfig cfg;
-    cfg.mode = mode;
+    system.applyTo(cfg.controller);
     cfg.numCores = cores;
     cfg.instructionsPerCore = insts;
     cfg.seed = seed;
     cfg.fabric = fab;
     if (org != DeviceOrg::Slc)
-        cfg.timing = cfg.timing.withOrg(org);
+        cfg.controller.timing = cfg.controller.timing.withOrg(org);
 
     System sys(cfg, workload::makeWorkload(workload, cfg.numCores));
     perf::WallTimer timer;
@@ -85,7 +85,7 @@ measurePoint(SystemMode mode, const std::string &workload,
 
     const EventQueue::Counters &kc = sys.eventQueue().counters();
     perf::RunMetrics m;
-    m.label = std::string(systemModeName(mode)) + "/" + workload;
+    m.label = system.label() + "/" + workload;
     m.wallSeconds = wall;
     m.eventsExecuted = kc.eventsExecuted;
     m.scheduleCalls = kc.scheduleCalls;
@@ -147,11 +147,10 @@ main(int argc, char **argv)
 
     const std::vector<std::string> workloads = sweep::parseWorkloads(
         args.getString("workloads", "MP1,canneal"));
-    const std::vector<SystemMode> modes =
+    const std::vector<ControllerPolicy> modes =
         sweep::parseModes(args.getString("modes", "all"));
     const std::uint64_t insts = args.getUint("insts", 120'000);
-    const unsigned cores =
-        static_cast<unsigned>(args.getUint("cores", 8));
+    const unsigned cores = args.getUnsigned("cores", 8);
     const std::uint64_t seed = args.getUint("seed", 1);
     const std::uint64_t repeat = args.getUint("repeat", 1);
     const bool table = args.getBool("table", true);
@@ -182,9 +181,9 @@ main(int argc, char **argv)
     total.label = args.getString("label", "run");
     std::vector<perf::RunMetrics> runs;
     for (std::uint64_t rep = 0; rep < repeat; ++rep) {
-        for (const SystemMode mode : modes) {
+        for (const ControllerPolicy &system : modes) {
             for (const std::string &w : workloads) {
-                perf::RunMetrics m = measurePoint(mode, w, insts,
+                perf::RunMetrics m = measurePoint(system, w, insts,
                                                   cores, seed, org,
                                                   fab);
                 if (table) {

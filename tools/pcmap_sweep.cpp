@@ -53,13 +53,16 @@ usage()
         "axes:\n"
         "  workloads=LIST  comma list of mix/program names, or a group:\n"
         "                  mt | mp | evaluated.  Required.\n"
-        "  modes=LIST      comma list of system modes, or all | pcmap\n"
+        "  modes=LIST      comma list of systems: preset names\n"
+        "                  (Baseline, RoW-NR, WoW-NR, RWoW-NR, RWoW-RD,\n"
+        "                  RWoW-RDE) or compositions, or all | pcmap\n"
         "                  (default all; omitted when policy= is given)\n"
         "  policy=LIST     comma list of composed controller policies:\n"
         "                  components base|fg|row|wow|rd|rde joined\n"
-        "                  with '+' (e.g. row+wow+rde).  Compositions\n"
-        "                  equivalent to a preset run under its mode\n"
-        "                  name; combines with an explicit modes=\n"
+        "                  with '+' (e.g. row+wow+rde).  A composition\n"
+        "                  equal to a preset runs under the preset's\n"
+        "                  name, ahead of the others; combines with an\n"
+        "                  explicit modes=\n"
         "  seeds=LIST      comma list of unsigned base seeds (default 1);\n"
         "                  per-run seed = hash(baseSeed, pointIndex)\n"
         "  org=LIST        comma list of PCM cell organizations:\n"
@@ -179,7 +182,7 @@ sweep::SweepRunner::Options
 runnerOptions(const Config &args, std::size_t total, bool default_table)
 {
     sweep::SweepRunner::Options opts;
-    opts.threads = static_cast<unsigned>(args.getUint("threads", 1));
+    opts.threads = args.getUnsigned("threads", 1);
     const sweep::ObsCliOptions obs = sweep::obsFromConfig(args);
     opts.obs = obs.obs;
     opts.obsPathPrefix = obs.pathPrefix;
@@ -260,8 +263,7 @@ int
 orchestratorMain(int argc, char **argv, const Config &args,
                  const sweep::SweepSpec &spec)
 {
-    const unsigned procs =
-        static_cast<unsigned>(args.getUint("procs", 1));
+    const unsigned procs = args.getUnsigned("procs", 1);
     if (procs == 0)
         fatal("procs= must be at least 1");
     if (args.has("resume"))
@@ -310,8 +312,7 @@ orchestratorMain(int argc, char **argv, const Config &args,
     }
 
     sweep::dist::Orchestrator::Options opts;
-    opts.maxAttempts =
-        1 + static_cast<unsigned>(args.getUint("retries", 2));
+    opts.maxAttempts = 1 + args.getUnsigned("retries", 2);
     opts.timeoutSec = args.getDouble("workerTimeout", 0.0);
     std::size_t done = 0;
     opts.onLine = [&](std::size_t w, const std::string &line) {
@@ -389,7 +390,7 @@ plainMain(const Config &args, const sweep::SweepSpec &spec)
     std::printf("pcmap-sweep: %zu points (%zu workloads x %zu systems "
                 "x %zu seeds), %u thread%s\n",
                 total, spec.workloads.size(),
-                spec.modes.size() + spec.policies.size(),
+                spec.systems.size(),
                 spec.seeds.size(), std::max(1u, opts.threads),
                 opts.threads > 1 ? "s" : "");
 
