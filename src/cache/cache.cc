@@ -1,5 +1,8 @@
 #include "cache/cache.h"
 
+#include <bit>
+#include <new>
+
 #include "sim/log.h"
 
 namespace pcmap::cache {
@@ -22,123 +25,104 @@ CacheConfig::validate() const
         fatal("cache must have a power-of-two number of sets");
 }
 
-SetAssocCache::SetAssocCache(const CacheConfig &config) : cfg(config)
+SetAssocCache::SetAssocCache(const CacheConfig &config)
+    : cfg(config), assoc(config.associativity)
 {
     cfg.validate();
-    ways.resize(cfg.numSets() * cfg.associativity);
-    repl = makeReplacementPolicy(cfg.repl, cfg.numSets(),
-                                 cfg.associativity);
+    setMask = cfg.numSets() - 1;
+    setBits = static_cast<unsigned>(std::popcount(setMask));
+    numWays = cfg.numSets() * assoc;
+    // calloc rather than value-initialized vectors: one bulk zeroing
+    // (or fresh zero pages) instead of a per-element constructor loop,
+    // which made a 4 MB array slower to build than the single array of
+    // 80-byte ways it replaced.  All-zero metadata is every way's start
+    // state: invalid, clean, rank 0.
+    meta.reset(static_cast<WayMeta *>(
+        std::calloc(numWays, sizeof(WayMeta))));
+    lines.reset(static_cast<CacheLine *>(
+        std::calloc(numWays, sizeof(CacheLine))));
+    if (!meta || !lines)
+        throw std::bad_alloc();
 }
 
 std::uint64_t
-SetAssocCache::indexOf(const Way &way) const
-{
-    return static_cast<std::uint64_t>(&way - ways.data());
-}
-
-std::uint64_t
-SetAssocCache::setOf(std::uint64_t line_addr) const
-{
-    return line_addr & (cfg.numSets() - 1);
-}
-
-std::uint64_t
-SetAssocCache::tagOf(std::uint64_t line_addr) const
-{
-    return line_addr / cfg.numSets();
-}
-
-SetAssocCache::Way *
-SetAssocCache::lookup(std::uint64_t line_addr)
-{
-    const std::uint64_t set = setOf(line_addr);
-    const std::uint64_t tag = tagOf(line_addr);
-    for (unsigned w = 0; w < cfg.associativity; ++w) {
-        Way &way = ways[set * cfg.associativity + w];
-        if (way.valid && way.tag == tag)
-            return &way;
-    }
-    return nullptr;
-}
-
-const SetAssocCache::Way *
 SetAssocCache::lookup(std::uint64_t line_addr) const
 {
-    return const_cast<SetAssocCache *>(this)->lookup(line_addr);
+    const std::uint64_t base = (line_addr & setMask) * assoc;
+    const std::uint64_t tag = line_addr >> setBits;
+    for (std::uint64_t i = base; i < base + assoc; ++i) {
+        if (meta[i].valid && meta[i].tag == tag)
+            return i;
+    }
+    return kNoWay;
 }
 
-SetAssocCache::Way &
-SetAssocCache::victimFor(std::uint64_t set)
+void
+SetAssocCache::hit(std::uint64_t way, WordMask store_mask,
+                   const CacheLine *store_data, unsigned writer)
 {
-    // Snapshot the per-way state the policy may rank on, then let it
-    // choose.  kMaxAssociativity keeps the snapshot off the heap.
-    pcmap_assert(cfg.associativity <= kMaxAssociativity);
-    ReplacementPolicy::WayState views[kMaxAssociativity];
-    for (unsigned w = 0; w < cfg.associativity; ++w) {
-        const Way &way = ways[set * cfg.associativity + w];
-        views[w] = ReplacementPolicy::WayState{way.valid,
-                                               way.dirty != 0};
-    }
-    const unsigned w = repl->victim(set, views, cfg.associativity);
-    pcmap_assert(w < cfg.associativity);
-    return ways[set * cfg.associativity + w];
+    ++levelStats.hits;
+    const auto w = static_cast<unsigned>(way % assoc);
+    replTouch(cfg.repl, &meta[way - w], assoc, w);
+    if (store_mask == 0)
+        return;
+    pcmap_assert(store_data != nullptr);
+    forEachSetBit(store_mask,
+                  [&](unsigned i) { lines[way].w[i] = store_data->w[i]; });
+    meta[way].dirty |= store_mask;
+    meta[way].writer = writer;
 }
 
 AccessResult
 SetAssocCache::access(std::uint64_t line_addr, bool is_store,
                       WordMask store_mask, const CacheLine *store_data)
 {
-    AccessResult res;
-    if (Way *way = lookup(line_addr)) {
-        res.hit = true;
-        ++levelStats.hits;
-        repl->onHit(indexOf(*way));
-        if (is_store) {
-            pcmap_assert(store_data != nullptr || store_mask == 0);
-            for (unsigned i = 0; i < kWordsPerLine; ++i) {
-                if (store_mask & (1u << i))
-                    way->data.w[i] = store_data->w[i];
-            }
-            way->dirty |= store_mask;
-        }
-        return res;
+    const std::uint64_t way = lookup(line_addr);
+    if (way == kNoWay) {
+        miss();
+        return AccessResult{false, true};
     }
-    ++levelStats.misses;
-    res.needsFill = true;
-    return res;
+    hit(way, is_store ? store_mask : 0, store_data);
+    return AccessResult{true, false};
+}
+
+Eviction
+SetAssocCache::evict(std::uint64_t way)
+{
+    const WayMeta &m = meta[way];
+    ++levelStats.writebacks;
+    levelStats.dirtyWordsWrittenBack += wordCount(m.dirty);
+    return Eviction{(m.tag << setBits) | (way / assoc), lines[way],
+                    m.dirty, m.writer};
 }
 
 std::optional<Eviction>
 SetAssocCache::fill(std::uint64_t line_addr, const CacheLine &data,
-                    WordMask store_mask, const CacheLine *store_data)
+                    WordMask store_mask, const CacheLine *store_data,
+                    unsigned writer)
 {
-    pcmap_assert(lookup(line_addr) == nullptr);
-    const std::uint64_t set = setOf(line_addr);
-    Way &way = victimFor(set);
+    pcmap_assert(lookup(line_addr) == kNoWay);
+    const std::uint64_t base = (line_addr & setMask) * assoc;
+    WayMeta *set = &meta[base];
+    const unsigned w = replVictim(cfg.repl, set, assoc);
+    pcmap_assert(w < assoc);
+    const std::uint64_t way = base + w;
 
     std::optional<Eviction> evicted;
-    if (way.valid && way.dirty != 0) {
-        Eviction ev;
-        ev.lineAddr = way.tag * cfg.numSets() + set;
-        ev.data = way.data;
-        ev.dirtyWords = way.dirty;
-        evicted = ev;
-        ++levelStats.writebacks;
-        levelStats.dirtyWordsWrittenBack += wordCount(way.dirty);
-    }
+    if (set[w].valid && set[w].dirty != 0)
+        evicted = evict(way);
 
-    way.valid = true;
-    way.tag = tagOf(line_addr);
-    way.data = data;
-    way.dirty = 0;
-    repl->onInstall(indexOf(way));
+    set[w].valid = true;
+    set[w].tag = line_addr >> setBits;
+    set[w].dirty = store_mask;
+    set[w].writer = writer;
+    replInstall(cfg.repl, set, assoc, w);
+    lines[way] = data;
     if (store_mask != 0) {
         pcmap_assert(store_data != nullptr);
-        for (unsigned i = 0; i < kWordsPerLine; ++i) {
-            if (store_mask & (1u << i))
-                way.data.w[i] = store_data->w[i];
-        }
-        way.dirty = store_mask;
+        forEachSetBit(store_mask, [&](unsigned i) {
+            lines[way].w[i] = store_data->w[i];
+        });
     }
     return evicted;
 }
@@ -146,39 +130,26 @@ SetAssocCache::fill(std::uint64_t line_addr, const CacheLine &data,
 const CacheLine *
 SetAssocCache::peek(std::uint64_t line_addr) const
 {
-    const Way *way = lookup(line_addr);
-    return way ? &way->data : nullptr;
+    const std::uint64_t way = lookup(line_addr);
+    return way == kNoWay ? nullptr : &lines[way];
 }
 
 WordMask
 SetAssocCache::dirtyMask(std::uint64_t line_addr) const
 {
-    const Way *way = lookup(line_addr);
-    return way ? way->dirty : 0;
+    const std::uint64_t way = lookup(line_addr);
+    return way == kNoWay ? 0 : meta[way].dirty;
 }
 
 std::vector<Eviction>
 SetAssocCache::flush()
 {
     std::vector<Eviction> out;
-    for (std::uint64_t set = 0; set < cfg.numSets(); ++set) {
-        for (unsigned w = 0; w < cfg.associativity; ++w) {
-            Way &way = ways[set * cfg.associativity + w];
-            if (!way.valid)
-                continue;
-            if (way.dirty != 0) {
-                Eviction ev;
-                ev.lineAddr = way.tag * cfg.numSets() + set;
-                ev.data = way.data;
-                ev.dirtyWords = way.dirty;
-                out.push_back(ev);
-                ++levelStats.writebacks;
-                levelStats.dirtyWordsWrittenBack +=
-                    wordCount(way.dirty);
-            }
-            way.valid = false;
-            way.dirty = 0;
-        }
+    for (std::uint64_t way = 0; way < numWays; ++way) {
+        if (meta[way].valid && meta[way].dirty != 0)
+            out.push_back(evict(way));
+        meta[way].valid = false;
+        meta[way].dirty = 0;
     }
     return out;
 }

@@ -14,6 +14,7 @@
 #define PCMAP_CACHE_CACHE_H
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -24,8 +25,8 @@
 namespace pcmap::cache {
 
 /**
- * Most ways one set may have: the victim search snapshots a set's
- * ways on the stack, and CacheConfig::validate rejects wider sets.
+ * Most ways one set may have: a way's age fits its rank byte, and
+ * CacheConfig::validate rejects wider sets.
  */
 constexpr unsigned kMaxAssociativity = 64;
 
@@ -50,14 +51,13 @@ struct Eviction
     std::uint64_t lineAddr = 0;
     CacheLine data{};
     WordMask dirtyWords = 0; ///< words the CPU wrote while resident
+    unsigned writer = 0;     ///< last core to dirty the line
 };
 
 /** Result of one cache access. */
 struct AccessResult
 {
     bool hit = false;
-    /** Dirty victim pushed out by the fill. */
-    std::optional<Eviction> writeback;
     /**
      * On a miss, the line must be fetched from below; the caller
      * fills it in via fill().
@@ -83,29 +83,51 @@ struct CacheLevelStats
     }
 };
 
-/** One set-associative cache level. */
+/**
+ * One set-associative cache level, stored as two arrays indexed by
+ * way (set * assoc + way): the packed WayMeta records that lookups and
+ * victim searches scan, and the 64-byte line data they never touch.
+ */
 class SetAssocCache
 {
   public:
+    /** lookup() of a line that is not resident. */
+    static constexpr std::uint64_t kNoWay = ~std::uint64_t{0};
+
     explicit SetAssocCache(const CacheConfig &cfg);
 
+    /** The way holding @p line_addr, or kNoWay: one tag scan, no stats. */
+    std::uint64_t lookup(std::uint64_t line_addr) const;
+
     /**
-     * Look up @p line_addr.  For stores, @p store_mask selects the
-     * words written and @p store_data supplies their new values.
-     * A hit applies the store in place; a miss reports needsFill —
-     * call fill() with the line fetched from the level below, after
-     * which the store is applied.  The returned writeback (if any)
-     * must be handed to the level below.
+     * Count a hit on resident @p way and refresh its recency.  A store
+     * writes the words of @p store_data that @p store_mask selects; a
+     * nonzero mask dirties them and makes @p writer the last writer.
      */
+    void hit(std::uint64_t way, WordMask store_mask = 0,
+             const CacheLine *store_data = nullptr, unsigned writer = 0);
+
+    /** Count a miss; the caller installs the line with fill(). */
+    void miss() { ++levelStats.misses; }
+
+    /** lookup(), then hit() or miss(). */
     AccessResult access(std::uint64_t line_addr, bool is_store,
                         WordMask store_mask = 0,
                         const CacheLine *store_data = nullptr);
 
-    /** Install @p data for @p line_addr after a reported miss. */
+    /**
+     * Install @p data for the absent @p line_addr, then apply the store
+     * (@p store_mask of @p store_data) by @p writer.  Returns the dirty
+     * victim, which must be handed to the level below.
+     */
     std::optional<Eviction> fill(std::uint64_t line_addr,
                                  const CacheLine &data,
                                  WordMask store_mask = 0,
-                                 const CacheLine *store_data = nullptr);
+                                 const CacheLine *store_data = nullptr,
+                                 unsigned writer = 0);
+
+    /** Content of resident @p way. */
+    const CacheLine &data(std::uint64_t way) const { return lines[way]; }
 
     /** Current content of a resident line (nullptr when absent). */
     const CacheLine *peek(std::uint64_t line_addr) const;
@@ -120,24 +142,24 @@ class SetAssocCache
     const CacheConfig &config() const { return cfg; }
 
   private:
-    struct Way
+    struct FreeDeleter
     {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        WordMask dirty = 0;
-        CacheLine data{};
+        void operator()(void *p) const { std::free(p); }
     };
+    /** An array from calloc, zeroed as every way starts. */
+    template <typename T>
+    using ZeroedArray = std::unique_ptr<T[], FreeDeleter>;
 
-    Way *lookup(std::uint64_t line_addr);
-    const Way *lookup(std::uint64_t line_addr) const;
-    Way &victimFor(std::uint64_t set);
-    std::uint64_t setOf(std::uint64_t line_addr) const;
-    std::uint64_t tagOf(std::uint64_t line_addr) const;
-    std::uint64_t indexOf(const Way &way) const;
+    /** Package dirty @p way as a write-back and count it. */
+    Eviction evict(std::uint64_t way);
 
     CacheConfig cfg;
-    std::vector<Way> ways; ///< [set * assoc + way]
-    std::unique_ptr<ReplacementPolicy> repl;
+    unsigned assoc;
+    std::uint64_t setMask; ///< set count - 1 (a power of two)
+    unsigned setBits;      ///< log2 of the set count
+    std::uint64_t numWays;
+    ZeroedArray<WayMeta> meta;    ///< [set * assoc + way]
+    ZeroedArray<CacheLine> lines; ///< [set * assoc + way]
     CacheLevelStats levelStats;
 };
 

@@ -1,7 +1,5 @@
 #include "cache/replacement.h"
 
-#include <vector>
-
 #include "sim/config.h"
 #include "sim/log.h"
 
@@ -32,125 +30,78 @@ replPolicyFromName(const std::string &name)
 
 namespace {
 
-/**
- * Least-recently-used with a single structure-wide use counter.  The
- * counter ordering and the first-lowest tie-break reproduce the
- * original in-array implementation exactly, which is what keeps the
- * CacheTier (and every golden snapshot built on it) byte-identical
- * under the policy extraction.
- */
-class LruPolicy final : public ReplacementPolicy
-{
-  public:
-    LruPolicy(std::uint64_t sets, unsigned assoc)
-        : lastUse(sets * assoc, 0)
-    {
-    }
-
-    void onHit(std::uint64_t i) override { lastUse[i] = ++useCounter; }
-    void onInstall(std::uint64_t i) override
-    {
-        lastUse[i] = ++useCounter;
-    }
-
-    unsigned
-    victim(std::uint64_t set, const WayState *ways,
-           unsigned assoc) override
-    {
-        const std::uint64_t base = set * assoc;
-        unsigned best = 0;
-        bool have = false;
-        for (unsigned w = 0; w < assoc; ++w) {
-            if (!ways[w].valid)
-                return w;
-            if (!have || lastUse[base + w] < lastUse[base + best]) {
-                best = w;
-                have = true;
-            }
-        }
-        return best;
-    }
-
-  private:
-    std::vector<std::uint64_t> lastUse;
-    std::uint64_t useCounter = 0;
-};
-
-/**
- * MAC-style multilevel policy.  Each way carries a level in
- * [0, kLevels): fills insert at level 1, hits promote one level
- * (saturating), and when a victim search finds the whole set above
- * level 0 every way is demoted by the set minimum (the "systematic"
- * ageing step).  The victim is the lowest-level way, clean before
- * dirty within a level, first way on ties — all deterministic.
- */
-class MacPolicy final : public ReplacementPolicy
-{
-  public:
-    static constexpr std::uint8_t kLevels = 4;
-
-    MacPolicy(std::uint64_t sets, unsigned assoc)
-        : level(sets * assoc, 0)
-    {
-    }
-
-    void
-    onHit(std::uint64_t i) override
-    {
-        if (level[i] + 1 < kLevels)
-            ++level[i];
-    }
-
-    void onInstall(std::uint64_t i) override { level[i] = 1; }
-
-    unsigned
-    victim(std::uint64_t set, const WayState *ways,
-           unsigned assoc) override
-    {
-        const std::uint64_t base = set * assoc;
-        std::uint8_t min_level = kLevels;
-        for (unsigned w = 0; w < assoc; ++w) {
-            if (!ways[w].valid)
-                return w;
-            if (level[base + w] < min_level)
-                min_level = level[base + w];
-        }
-        if (min_level > 0) {
-            for (unsigned w = 0; w < assoc; ++w)
-                level[base + w] -= min_level;
-        }
-        // Rank: level first, then dirtiness — evicting a clean line
-        // costs nothing downstream, so dirty lines stay resident
-        // longer and keep absorbing stores.
-        unsigned best = 0;
-        unsigned best_key = ~0u;
-        for (unsigned w = 0; w < assoc; ++w) {
-            const unsigned key =
-                2u * level[base + w] + (ways[w].dirty ? 1u : 0u);
-            if (key < best_key) {
-                best_key = key;
-                best = w;
-            }
-        }
-        return best;
-    }
-
-  private:
-    std::vector<std::uint8_t> level;
-};
+/** MAC levels: fills insert at 1, hits promote up to kMacLevels - 1. */
+constexpr std::uint8_t kMacLevels = 4;
 
 } // namespace
 
-std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(ReplPolicy p, std::uint64_t sets, unsigned assoc)
+void
+replTouch(ReplPolicy p, WayMeta *set, unsigned assoc, unsigned w)
 {
-    switch (p) {
-    case ReplPolicy::Lru:
-        return std::make_unique<LruPolicy>(sets, assoc);
-    case ReplPolicy::Mac:
-        return std::make_unique<MacPolicy>(sets, assoc);
+    if (p == ReplPolicy::Mac) {
+        if (set[w].rank + 1 < kMacLevels)
+            ++set[w].rank;
+        return;
     }
-    fatal("invalid ReplPolicy ", static_cast<int>(p));
+    // Move to front: every way younger than @p w ages by one, so the
+    // valid ways keep the ranks 0..k-1 in last-touch order, the order
+    // a structure-wide use counter gives.  Invalid ways' ranks are
+    // never read.
+    const std::uint8_t age = set[w].rank;
+    for (unsigned v = 0; v < assoc; ++v) {
+        if (set[v].rank < age)
+            ++set[v].rank;
+    }
+    set[w].rank = 0;
+}
+
+void
+replInstall(ReplPolicy p, WayMeta *set, unsigned assoc, unsigned w)
+{
+    if (p == ReplPolicy::Mac) {
+        set[w].rank = 1;
+        return;
+    }
+    // @p w was invalid or the oldest valid way: every other way ages.
+    for (unsigned v = 0; v < assoc; ++v)
+        ++set[v].rank;
+    set[w].rank = 0;
+}
+
+unsigned
+replVictim(ReplPolicy p, WayMeta *set, unsigned assoc)
+{
+    std::uint8_t min_level = kMacLevels;
+    unsigned oldest = 0;
+    for (unsigned w = 0; w < assoc; ++w) {
+        if (!set[w].valid)
+            return w;
+        if (set[w].rank > set[oldest].rank)
+            oldest = w;
+        if (set[w].rank < min_level)
+            min_level = set[w].rank;
+    }
+    if (p == ReplPolicy::Lru)
+        return oldest;
+    // MAC: when the whole set sits above level 0, demote every way by
+    // the set minimum (the "systematic" ageing step).
+    if (min_level > 0) {
+        for (unsigned w = 0; w < assoc; ++w)
+            set[w].rank -= min_level;
+    }
+    // Rank: level first, then dirtiness — evicting a clean line costs
+    // nothing downstream, so dirty lines stay resident longer and keep
+    // absorbing stores.  First way on ties.
+    unsigned best = 0;
+    unsigned best_key = ~0u;
+    for (unsigned w = 0; w < assoc; ++w) {
+        const unsigned key = 2u * set[w].rank + (set[w].dirty ? 1u : 0u);
+        if (key < best_key) {
+            best_key = key;
+            best = w;
+        }
+    }
+    return best;
 }
 
 } // namespace pcmap::cache

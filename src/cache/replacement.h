@@ -1,30 +1,36 @@
 /**
  * @file
- * Swappable replacement policies for the set-associative cache array.
+ * Replacement policies for the set-associative cache array.
  *
- * The policy owns all recency/level metadata (the array itself keeps
- * only tag/valid/dirty/data state), so swapping policies cannot touch
- * the functional behaviour of hits and fills — only which way gets
- * evicted.  Two implementations:
+ * A policy's whole state is one rank byte in each way's packed
+ * metadata, so a victim search reads the same 16-byte records a tag
+ * lookup does and nothing else.  Swapping policies cannot touch the
+ * functional behaviour of hits and fills — only which way gets
+ * evicted.  Two policies:
  *
- *  - Lru: one global use counter, victim is the least-recently-used
- *    way.  Bit-identical to the original hard-coded behaviour.
+ *  - Lru: the rank is the way's age in its set (0 = most recent; the
+ *    k valid ways of a set hold the ranks 0..k-1), and the victim is
+ *    the oldest valid way.
  *  - Mac: a MAC-style multilevel policy (PAPERS.md, "MAC: a novel
  *    systematically multilevel cache replacement policy for PCM
- *    memory"): each way carries a small level counter — fills insert
- *    in the middle, hits promote, victim search demotes the whole set
- *    — and among the lowest level, clean lines are evicted before
- *    dirty ones.  Keeping dirty lines resident longer gives them more
+ *    memory"): the rank is a small level counter — fills insert in
+ *    the middle, hits promote, victim search demotes the whole set —
+ *    and among the lowest level, clean lines are evicted before dirty
+ *    ones.  Keeping dirty lines resident longer gives them more
  *    chances to coalesce stores, which is what cuts PCM write traffic
  *    relative to LRU.
+ *
+ * Either way an invalid way wins over every valid one, first way
+ * first.
  */
 
 #ifndef PCMAP_CACHE_REPLACEMENT_H
 #define PCMAP_CACHE_REPLACEMENT_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
+
+#include "mem/line.h"
 
 namespace pcmap::cache {
 
@@ -38,40 +44,28 @@ const char *replPolicyName(ReplPolicy p);
 ReplPolicy replPolicyFromName(const std::string &name);
 
 /**
- * Victim selection + recency bookkeeping for one cache structure.
- * Way indices are global (set * assoc + way); victim() returns the
- * way offset within the set.
+ * Packed metadata of one way: everything a lookup or a victim search
+ * reads.  Sixteen bytes, so an 8-way set spans two host cache lines;
+ * the 64-byte line data live in a separate array.
  */
-class ReplacementPolicy
+struct WayMeta
 {
-  public:
-    /** The per-way state a policy may consult when picking a victim. */
-    struct WayState
-    {
-        bool valid = false;
-        bool dirty = false;
-    };
-
-    virtual ~ReplacementPolicy() = default;
-
-    /** A resident way was accessed (load or store hit). */
-    virtual void onHit(std::uint64_t way_index) = 0;
-
-    /** A line was just installed into the way. */
-    virtual void onInstall(std::uint64_t way_index) = 0;
-
-    /**
-     * Pick the victim way of @p set given the @p assoc way states
-     * (indexed by way offset).  Invalid ways must win over any valid
-     * way; beyond that the choice is the policy's.
-     */
-    virtual unsigned victim(std::uint64_t set, const WayState *ways,
-                            unsigned assoc) = 0;
+    std::uint64_t tag = 0;
+    std::uint32_t writer = 0; ///< last core to dirty the line
+    WordMask dirty = 0;       ///< words written while resident
+    std::uint8_t rank = 0;    ///< replacement state (LRU age, MAC level)
+    bool valid = false;
 };
+static_assert(sizeof(WayMeta) == 16, "one 8-way set in two lines");
 
-/** Construct the policy instance for a sets x assoc structure. */
-std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(ReplPolicy p, std::uint64_t sets, unsigned assoc);
+/** Way @p w of @p set was hit (load or store). */
+void replTouch(ReplPolicy p, WayMeta *set, unsigned assoc, unsigned w);
+
+/** A line was just installed into way @p w of @p set. */
+void replInstall(ReplPolicy p, WayMeta *set, unsigned assoc, unsigned w);
+
+/** Pick the victim way of @p set (MAC ages the set as it searches). */
+unsigned replVictim(ReplPolicy p, WayMeta *set, unsigned assoc);
 
 } // namespace pcmap::cache
 

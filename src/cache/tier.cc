@@ -176,10 +176,10 @@ CacheTier::findMshr(std::uint64_t line)
     return nullptr;
 }
 
-const CacheTier::PendingWriteback *
-CacheTier::findWb(std::uint64_t line) const
+CacheTier::PendingWriteback *
+CacheTier::findWb(std::uint64_t line)
 {
-    for (const PendingWriteback &pw : wbBuffer) {
+    for (PendingWriteback &pw : wbBuffer) {
         if (pw.ev.lineAddr == line)
             return &pw;
     }
@@ -228,20 +228,21 @@ CacheTier::enqueueRead(const MemRequest &req, ReadCallback cb)
         return true;
     }
 
-    if (array.peek(line) != nullptr) {
-        array.access(line, false); // recency touch + array hit count
+    const std::uint64_t way = array.lookup(line);
+    if (way != SetAssocCache::kNoWay) {
+        array.hit(way);
         ++tierStats.readHits;
         PCMAP_OBS_TRACE(trace, obs::TracePoint::CacheHit, now,
                         cfg.hitTicks, req.id, line);
         Waiter w{req, std::move(cb), now};
         if (attrib != nullptr)
             attrib->ensure(w.req, now, obs::attrib::AttribOp::Read);
-        scheduleHit(w, *array.peek(line));
+        scheduleHit(w, array.data(way));
         return true;
     }
 
     if (Mshr *m = findMshr(line)) {
-        array.access(line, false);
+        array.miss();
         ++tierStats.readMisses;
         ++tierStats.mshrMerges;
         PCMAP_OBS_TRACE(trace, obs::TracePoint::CacheMiss, now, 0,
@@ -267,7 +268,7 @@ CacheTier::enqueueRead(const MemRequest &req, ReadCallback cb)
         return false;
     }
 
-    array.access(line, false);
+    array.miss();
     ++tierStats.readMisses;
     PCMAP_OBS_TRACE(trace, obs::TracePoint::CacheMiss, now, 0, req.id,
                     line, /*merged=*/0);
@@ -287,27 +288,26 @@ CacheTier::enqueueWrite(const MemRequest &req)
 
     // Overwrite a parked victim in place: the line is logically still
     // ours until its write-back lands.
-    if (const PendingWriteback *cpw = findWb(line)) {
-        auto *pw = const_cast<PendingWriteback *>(cpw);
+    if (PendingWriteback *pw = findWb(line)) {
         ++tierStats.writeHits;
         PCMAP_OBS_TRACE(trace, obs::TracePoint::CacheHit, now, 0,
                         req.id, line);
         pw->ev.dirtyWords |= pw->ev.data.diffMask(req.data);
         pw->ev.data = req.data;
-        pw->coreId = req.coreId;
+        pw->ev.writer = req.coreId;
         if (attrib != nullptr)
             attrib->discard(req.ledger); // absorbed; never completes
         return true;
     }
 
-    if (const CacheLine *cur = array.peek(line)) {
-        const WordMask mask = cur->diffMask(req.data);
-        array.access(line, true, mask, &req.data);
+    const std::uint64_t way = array.lookup(line);
+    if (way != SetAssocCache::kNoWay) {
+        // A write that changes no word keeps the line's last writer.
+        array.hit(way, array.data(way).diffMask(req.data), &req.data,
+                  req.coreId);
         ++tierStats.writeHits;
         PCMAP_OBS_TRACE(trace, obs::TracePoint::CacheHit, now, 0,
                         req.id, line);
-        if (mask != 0)
-            lastWriter[line] = req.coreId;
         if (attrib != nullptr)
             attrib->discard(req.ledger); // absorbed; never completes
         return true;
@@ -324,14 +324,13 @@ CacheTier::enqueueWrite(const MemRequest &req)
     // so install it directly, conservatively all-dirty.  The PCM
     // controller still discovers the essential words by diffing the
     // payload against the stored content at commit time.
-    array.access(line, true); // counts the array miss
+    array.miss();
     ++tierStats.writeMisses;
     PCMAP_OBS_TRACE(trace, obs::TracePoint::CacheMiss, now, 0, req.id,
                     line, /*merged=*/0);
-    lastWriter[line] = req.coreId;
     if (attrib != nullptr)
         attrib->discard(req.ledger); // absorbed; never completes
-    install(line, req.data, kAllWords, &req.data);
+    install(line, req.data, kAllWords, req.coreId);
     return true;
 }
 
@@ -398,7 +397,7 @@ CacheTier::onFillResponse(const ReadResponse &resp)
     } else if (const CacheLine *cur = array.peek(line)) {
         data = *cur;
     } else {
-        install(line, resp.data, 0, nullptr);
+        install(line, resp.data, 0, 0);
     }
 
     if (resp.speculative) {
@@ -435,24 +434,18 @@ CacheTier::onFillResponse(const ReadResponse &resp)
 
 void
 CacheTier::install(std::uint64_t line, const CacheLine &data,
-                   WordMask store_mask, const CacheLine *store_data)
+                   WordMask dirty, unsigned writer)
 {
-    std::optional<Eviction> ev =
-        array.fill(line, data, store_mask, store_data);
+    std::optional<Eviction> ev = array.fill(line, data, dirty, &data,
+                                            writer);
     if (!ev.has_value())
         return;
-    unsigned core = 0;
-    if (const auto it = lastWriter.find(ev->lineAddr);
-        it != lastWriter.end()) {
-        core = it->second;
-        lastWriter.erase(it);
-    }
     obs::attrib::PhaseLedger *led = nullptr;
     if (attrib != nullptr) {
-        led = attrib->open(obs::attrib::AttribOp::Writeback, core, 0,
-                           eventq.now());
+        led = attrib->open(obs::attrib::AttribOp::Writeback, ev->writer,
+                           0, eventq.now());
     }
-    wbBuffer.push_back(PendingWriteback{*ev, core, led});
+    wbBuffer.push_back(PendingWriteback{*ev, led});
     if (wbBuffer.size() >= cfg.writebackBatch)
         drainWritebacks();
 }
@@ -468,7 +461,7 @@ CacheTier::drainWritebacks()
         w.id = kWbIdBase | ++wbSeq;
         w.type = ReqType::Write;
         w.addr = pw.ev.lineAddr * kLineBytes;
-        w.coreId = pw.coreId;
+        w.coreId = pw.ev.writer;
         w.data = pw.ev.data;
         w.ledger = pw.ledger;
         if (!down.enqueueWrite(w)) {
@@ -524,20 +517,13 @@ void
 CacheTier::flushDirty()
 {
     for (Eviction &ev : array.flush()) {
-        unsigned core = 0;
-        if (const auto it = lastWriter.find(ev.lineAddr);
-            it != lastWriter.end()) {
-            core = it->second;
-            lastWriter.erase(it);
-        }
         obs::attrib::PhaseLedger *led = nullptr;
         if (attrib != nullptr) {
-            led = attrib->open(obs::attrib::AttribOp::Writeback, core,
-                               0, eventq.now());
+            led = attrib->open(obs::attrib::AttribOp::Writeback,
+                               ev.writer, 0, eventq.now());
         }
-        wbBuffer.push_back(PendingWriteback{ev, core, led});
+        wbBuffer.push_back(PendingWriteback{ev, led});
     }
-    lastWriter.clear();
     wbStalled = true; // keep draining across downstream retries
     drainWritebacks();
 }

@@ -190,23 +190,25 @@ class CacheTier : public ForwardingPort
     /** A dirty victim parked until its drain burst. */
     struct PendingWriteback
     {
-        Eviction ev;
-        unsigned coreId = 0; ///< last writer, for attribution
+        Eviction ev; ///< ev.writer is the attributed core
         /** Writeback phase ledger, opened at park (null: attrib off). */
         obs::attrib::PhaseLedger *ledger = nullptr;
     };
 
     std::uint64_t lineOf(std::uint64_t addr) const;
     Mshr *findMshr(std::uint64_t line);
-    const PendingWriteback *findWb(std::uint64_t line) const;
+    PendingWriteback *findWb(std::uint64_t line);
     /** Deliver @p data to @p w at now + hitTicks. */
     void scheduleHit(const Waiter &w, const CacheLine &data);
     /** Hand the MSHR's fetch to the PCM side; false when refused. */
     bool issueFetch(Mshr &m);
     void onFillResponse(const ReadResponse &resp);
-    /** Install @p data, routing any dirty victim to the WB buffer. */
-    void install(std::uint64_t line, const CacheLine &data,
-                 WordMask store_mask, const CacheLine *store_data);
+    /**
+     * Install @p data with @p dirty words by @p writer, routing any
+     * dirty victim to the WB buffer.
+     */
+    void install(std::uint64_t line, const CacheLine &data, WordMask dirty,
+                 unsigned writer);
     /** Drain parked write-backs while the PCM side accepts them. */
     void drainWritebacks();
     void onDownstreamRetry();
@@ -220,8 +222,6 @@ class CacheTier : public ForwardingPort
 
     std::vector<Mshr> mshrs;
     std::deque<PendingWriteback> wbBuffer;
-    /** Last core to dirty each resident (or parked) line. */
-    std::unordered_map<std::uint64_t, unsigned> lastWriter;
     /**
      * Fills delivered speculatively: fill id -> the merged waiters,
      * so the deferred verify outcome fans out to every one of them.

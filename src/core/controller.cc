@@ -37,12 +37,6 @@ MemoryController::MemoryController(std::string name,
         ranks.emplace_back(cfg.banksPerRank, cfg.hasPcc(), &timingEpoch);
     writeSlotFreeAt.assign(n_ranks, 0);
     irlpTrackers.resize(n_ranks);
-
-    // Each channel sees roughly an even share of the written lines.
-    const unsigned n_channels =
-        std::max(1u, mapper.geometry().channels);
-    wearTracker.reserveLines(static_cast<std::size_t>(
-        cfg.footprintLinesHint / n_channels));
 }
 
 void

@@ -131,9 +131,8 @@ struct ControllerConfig
     // --- Host-side sizing hint (no effect on simulated behaviour) ---
     /**
      * Expected distinct lines written over the run (0 = unknown).
-     * Pre-sizes the backing store's page directory and the wear
-     * tracker's per-line map so warm-up avoids rehash storms; the
-     * simulated results are identical either way.
+     * Pre-sizes the backing store's page directory so warm-up avoids
+     * rehash storms; the simulated results are identical either way.
      */
     std::uint64_t footprintLinesHint = 0;
 

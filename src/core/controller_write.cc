@@ -68,10 +68,8 @@ MemoryController::scheduleWriteCompletion(const WriteEntry &entry,
         // to the same line may have committed since this one was
         // planned, and correctness requires applying every word that
         // still differs.
-        const WordMask changed = backing.essentialWords(line, data);
-        const StoredLine before = backing.read(line);
-        backing.writeWords(line, data, changed);
-        const StoredLine &after = backing.read(line);
+        const auto [changed, before, after] =
+            backing.commitWrite(line, data);
 
         // Energy: the differential write reads the line, then pulses
         // exactly the flipped bits of the data words plus the ECC and
@@ -94,8 +92,6 @@ MemoryController::scheduleWriteCompletion(const WriteEntry &entry,
             wearTracker.recordChipWrite(lineLayout->pccChip(line));
         }
         energyModel.recordBusTransfer(wordCount(changed));
-        if (changed != 0)
-            wearTracker.recordLineWrite(line);
 
         ++counters.writesCompleted;
         const Tick commit = eventq.now();

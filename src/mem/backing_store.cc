@@ -70,13 +70,10 @@ BackingStore::materialize(std::uint64_t line_addr)
     return p.lines[pos];
 }
 
-WordMask
-BackingStore::writeWords(std::uint64_t line_addr, const CacheLine &new_data,
+void
+BackingStore::applyWords(StoredLine &stored, const CacheLine &new_data,
                          WordMask changed)
 {
-    if (changed == 0)
-        return 0;
-    StoredLine &stored = materialize(line_addr);
     stored.ecc = ecc::updateEccWord(stored.ecc, new_data, changed);
     stored.pcc =
         ecc::updatePccWord(stored.pcc, stored.data, new_data, changed);
@@ -84,7 +81,32 @@ BackingStore::writeWords(std::uint64_t line_addr, const CacheLine &new_data,
         if (changed & (1u << i))
             stored.data.w[i] = new_data.w[i];
     }
+}
+
+WordMask
+BackingStore::writeWords(std::uint64_t line_addr, const CacheLine &new_data,
+                         WordMask changed)
+{
+    if (changed != 0)
+        applyWords(materialize(line_addr), new_data, changed);
     return changed;
+}
+
+BackingStore::Commit
+BackingStore::commitWrite(std::uint64_t line_addr, const CacheLine &new_data)
+{
+    Commit c;
+    c.before = read(line_addr);
+    c.changed = c.before.data.diffMask(new_data);
+    c.after = c.before;
+    if (c.changed != 0) {
+        // read() left the line's page (if any) in the MRU slot, so
+        // materialize() finds it without a second hash.
+        StoredLine &stored = materialize(line_addr);
+        applyWords(stored, new_data, c.changed);
+        c.after = stored;
+    }
+    return c;
 }
 
 void

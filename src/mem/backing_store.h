@@ -11,12 +11,11 @@
  *
  * Storage is a two-level page directory: a hash map from page index to
  * 64-line pages, with a one-entry MRU page cache in front of the hash.
- * Consecutive line addresses share a page, so the essentialWords +
- * writeWords pair of a write commit (and any read bursts with spatial
- * locality) hash at most once.  Within a page, lines are kept compactly
- * in a vector indexed through the page's touched-bit mask (popcount
- * ranking), so memory stays proportional to the number of touched
- * lines no matter how scattered the footprint is.
+ * Consecutive line addresses share a page, so a write commit (and any
+ * read burst with spatial locality) hashes at most once.  Within a
+ * page, lines are kept compactly in a vector indexed through the page's
+ * touched-bit mask (popcount ranking), so memory stays proportional to
+ * the number of touched lines no matter how scattered the footprint is.
  */
 
 #ifndef PCMAP_MEM_BACKING_STORE_H
@@ -70,6 +69,23 @@ class BackingStore
     WordMask writeWords(std::uint64_t line_addr, const CacheLine &new_data,
                         WordMask changed);
 
+    /** What one differential write commit found and left. */
+    struct Commit
+    {
+        WordMask changed = 0; ///< words whose stored value differed
+        StoredLine before;    ///< the line and its codes before...
+        StoredLine after;     ///< ...and after the commit
+    };
+
+    /**
+     * Commit @p new_data differentially: write exactly the words that
+     * differ from the stored line, updating the codes incrementally.
+     * The same as essentialWords, read, writeWords and read again, in
+     * one directory lookup; a commit that changes no word materializes
+     * nothing.
+     */
+    Commit commitWrite(std::uint64_t line_addr, const CacheLine &new_data);
+
     /** Commit a full line unconditionally, recomputing all codes. */
     void writeLine(std::uint64_t line_addr, const CacheLine &new_data);
 
@@ -104,6 +120,10 @@ class BackingStore
 
     /** Materialize @p line_addr (zero-initialized on first touch). */
     StoredLine &materialize(std::uint64_t line_addr);
+
+    /** Write the @p changed words of @p new_data into @p stored. */
+    static void applyWords(StoredLine &stored, const CacheLine &new_data,
+                           WordMask changed);
 
     // unordered_map is node-based, so Page addresses are stable across
     // inserts and the MRU pointer survives directory growth.

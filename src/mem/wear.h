@@ -9,8 +9,9 @@
  * (Qureshi et al., MICRO 2009).  This module provides both halves:
  *
  *  - WearTracker: per-chip and per-line write counters with imbalance
- *    metrics (max/mean ratio, coefficient of variation), fed by the
- *    controller on every array write;
+ *    metrics (max/mean ratio, coefficient of variation); the
+ *    controller feeds the per-chip counts on every array write, and
+ *    line-level studies (Start-Gap) feed the per-line ones;
  *  - StartGapRemapper: the Start-Gap algebraic remap — one gap line
  *    per region plus start/gap pointers; after every `gapWritePeriod`
  *    writes the gap moves one slot, slowly rotating the whole region
@@ -35,12 +36,6 @@ class WearTracker
 {
   public:
     WearTracker() = default;
-
-    /**
-     * Pre-size the per-line map for @p lines expected distinct lines
-     * (a host-side hint; counts are exact regardless).
-     */
-    void reserveLines(std::size_t lines) { lineWrites.reserve(lines); }
 
     /** Record an array write of @p words words on chip @p chip. */
     void

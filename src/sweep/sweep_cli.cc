@@ -63,6 +63,12 @@ parseModes(const std::string &arg)
         return {std::begin(kPaperSystems), std::end(kPaperSystems)};
     if (arg == "pcmap")
         return {std::begin(kPaperSystems) + 1, std::end(kPaperSystems)};
+    for (const std::string &tok : splitCommas(arg)) {
+        if (tok == "all" || tok == "pcmap")
+            fatal("modes=: the group '", tok,
+                  "' must be the whole value (modes=", tok,
+                  "), not one item of a list");
+    }
     const std::vector<ControllerPolicy> modes =
         parseSystems(arg, {"all", "pcmap"});
     if (modes.empty())

@@ -3,7 +3,8 @@
  * Tests for the timed DRAM cache tier: the sweep-axis grammar and
  * TierConfig validation, hit/miss timing and MSHR semantics against a
  * scriptable downstream port, write-back buffering and back-pressure,
- * parked-victim coherence, thread-count determinism of tier-enabled
+ * parked-victim coherence, the last writer each write-back is charged
+ * to, thread-count determinism of tier-enabled
  * sweeps, observability neutrality, and the LRU-vs-MAC PCM
  * write-traffic difference through a full System run.
  */
@@ -388,6 +389,104 @@ TEST(TierBackpressure, FlushDirtyPushesEveryResidentDirtyLine)
     tier.flushDirty();
     EXPECT_EQ(pcm.writes.size(), 6u);
     EXPECT_EQ(tier.counters().writebacks, 6u);
+}
+
+MemRequest
+writeBy(unsigned core, ReqId id, std::uint64_t line, const CacheLine &data)
+{
+    MemRequest r = writeReq(id, line, data);
+    r.coreId = core;
+    return r;
+}
+
+TEST(TierWriter, WritebackCarriesTheLastCoreThatChangedTheLine)
+{
+    EventQueue eq;
+    FakePort pcm;
+    TierConfig cfg;
+    cfg.sizeBytes = kLineBytes; // 1 set x 1 way: every line collides
+    cfg.ways = 1;
+    cfg.writebackBatch = 1;
+    CacheTier tier(cfg, eq, pcm);
+
+    // Core 3 installs line 0; core 7 rewrites it with the same words,
+    // which dirties nothing and so takes nothing over.
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(3, 1, 0, patternLine(0))));
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(7, 2, 0, patternLine(0))));
+    // Core 5's line 1 evicts line 0.
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(5, 3, 1, patternLine(1))));
+    ASSERT_EQ(pcm.writes.size(), 1u);
+    EXPECT_EQ(pcm.writes[0].addr, 0u);
+    EXPECT_EQ(pcm.writes[0].coreId, 3u);
+
+    // A write that changes a word takes line 1 over from core 5.
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(9, 4, 1, patternLine(11))));
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(5, 5, 2, patternLine(2))));
+    ASSERT_EQ(pcm.writes.size(), 2u);
+    EXPECT_EQ(pcm.writes[1].addr, kLineBytes);
+    EXPECT_EQ(pcm.writes[1].coreId, 9u);
+
+    // A line filled by a read is clean until written: its first
+    // changing writer is the one charged.
+    std::vector<ReadResponse> got;
+    ASSERT_TRUE(tier.enqueueRead(
+        readReq(6, 3), [&](const ReadResponse &r) { got.push_back(r); }));
+    pcm.deliver(0, patternLine(3), 10'000); // evicts line 2 (core 5)
+    ASSERT_EQ(pcm.writes.size(), 3u);
+    EXPECT_EQ(pcm.writes[2].coreId, 5u);
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(4, 7, 3, patternLine(33))));
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(1, 8, 4, patternLine(4))));
+    ASSERT_EQ(pcm.writes.size(), 4u);
+    EXPECT_EQ(pcm.writes[3].addr, 3 * kLineBytes);
+    EXPECT_EQ(pcm.writes[3].coreId, 4u);
+}
+
+TEST(TierWriter, WriteToAParkedVictimTakesOverAsWriter)
+{
+    EventQueue eq;
+    FakePort pcm;
+    pcm.acceptWrites = false; // victims stay parked
+    TierConfig cfg;
+    cfg.sizeBytes = kLineBytes;
+    cfg.ways = 1;
+    cfg.writebackBatch = 1;
+    cfg.wbBufferCap = 2;
+    CacheTier tier(cfg, eq, pcm);
+
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(3, 1, 0, patternLine(0))));
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(5, 2, 1, patternLine(1))));
+    ASSERT_EQ(tier.wbBuffered(), 1u);
+    // Even a write that changes no word of the parked line takes it
+    // over.
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(8, 3, 0, patternLine(0))));
+
+    pcm.acceptWrites = true;
+    pcm.retry();
+    ASSERT_EQ(pcm.writes.size(), 1u);
+    EXPECT_EQ(pcm.writes[0].addr, 0u);
+    EXPECT_EQ(pcm.writes[0].coreId, 8u);
+}
+
+TEST(TierWriter, FlushDirtyKeepsEachLinesWriter)
+{
+    EventQueue eq;
+    FakePort pcm;
+    TierConfig cfg;
+    cfg.sizeBytes = 64 * kLineBytes;
+    cfg.writebackBatch = 64; // no implicit drain during the run
+    cfg.wbBufferCap = 64;
+    CacheTier tier(cfg, eq, pcm);
+
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(1, 1, 0, patternLine(0))));
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(2, 2, 1, patternLine(1))));
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(4, 3, 0, patternLine(10))));
+    ASSERT_TRUE(tier.enqueueWrite(writeBy(6, 4, 1, patternLine(1))));
+    tier.flushDirty();
+    ASSERT_EQ(pcm.writes.size(), 2u);
+    EXPECT_EQ(pcm.writes[0].addr, 0u);
+    EXPECT_EQ(pcm.writes[0].coreId, 4u);
+    EXPECT_EQ(pcm.writes[1].addr, kLineBytes);
+    EXPECT_EQ(pcm.writes[1].coreId, 2u);
 }
 
 /** Run @p cfg on MP1 and return (report text, flat stat listing). */

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the functional backing store: sparse semantics, essential
- * word discovery, incremental code maintenance, and fault injection.
+ * word discovery, incremental code maintenance, the one-call write
+ * commit against the call sequence it replaces, and fault injection.
  */
 
 #include <gtest/gtest.h>
@@ -162,6 +163,93 @@ TEST(BackingStore, ManyLinesSparsePopulation)
     }
     EXPECT_EQ(bs.population(), 100u);
     EXPECT_EQ(bs.read(50 * 1000).data.w[0], 51u);
+}
+
+/** One write commit as four calls: the sequence commitWrite replaces. */
+BackingStore::Commit
+fourCallCommit(BackingStore &bs, std::uint64_t line, const CacheLine &data)
+{
+    BackingStore::Commit c;
+    c.changed = bs.essentialWords(line, data);
+    c.before = bs.read(line);
+    bs.writeWords(line, data, c.changed);
+    c.after = bs.read(line);
+    return c;
+}
+
+void
+expectSameCommit(const BackingStore::Commit &got,
+                 const BackingStore::Commit &want)
+{
+    EXPECT_EQ(got.changed, want.changed);
+    EXPECT_EQ(got.before.data, want.before.data);
+    EXPECT_EQ(got.before.ecc, want.before.ecc);
+    EXPECT_EQ(got.before.pcc, want.before.pcc);
+    EXPECT_EQ(got.after.data, want.after.data);
+    EXPECT_EQ(got.after.ecc, want.after.ecc);
+    EXPECT_EQ(got.after.pcc, want.after.pcc);
+}
+
+TEST(BackingStoreCommit, UntouchedLinesMatchTheFourCallSequence)
+{
+    BackingStore one;
+    BackingStore four;
+    Rng rng(21);
+    for (std::uint64_t line : {0ull, 63ull, 64ull, 1ull << 40}) {
+        const CacheLine data = randomLine(rng);
+        expectSameCommit(one.commitWrite(line, data),
+                         fourCallCommit(four, line, data));
+    }
+    EXPECT_EQ(one.population(), four.population());
+    EXPECT_EQ(one.population(), 4u);
+}
+
+TEST(BackingStoreCommit, WritesThatChangeNoWordMaterializeNothing)
+{
+    BackingStore one;
+    BackingStore four;
+    // Zeroes onto untouched lines, then a stored line onto itself.
+    for (std::uint64_t line : {5ull, 6ull, 700ull}) {
+        const BackingStore::Commit c = one.commitWrite(line, CacheLine{});
+        expectSameCommit(c, fourCallCommit(four, line, CacheLine{}));
+        EXPECT_EQ(c.changed, 0u);
+    }
+    EXPECT_EQ(one.population(), 0u);
+    EXPECT_EQ(four.population(), 0u);
+
+    Rng rng(22);
+    const CacheLine data = randomLine(rng);
+    one.commitWrite(9, data);
+    fourCallCommit(four, 9, data);
+    expectSameCommit(one.commitWrite(9, data), fourCallCommit(four, 9, data));
+    EXPECT_EQ(one.population(), 1u);
+    EXPECT_EQ(four.population(), 1u);
+}
+
+TEST(BackingStoreCommit, RandomLinesMatchTheFourCallSequence)
+{
+    BackingStore one;
+    BackingStore four;
+    Rng rng(23);
+    for (int i = 0; i < 4000; ++i) {
+        // A small line space so lines are rewritten; each write
+        // changes a random subset of the current words.
+        const std::uint64_t line = rng.below(300) * (1 + rng.below(3));
+        CacheLine data = one.read(line).data;
+        const CacheLine fresh = randomLine(rng);
+        const auto words = static_cast<unsigned>(rng.below(256));
+        for (unsigned w = 0; w < kWordsPerLine; ++w) {
+            if (words & (1u << w))
+                data.w[w] = fresh.w[w];
+        }
+        expectSameCommit(one.commitWrite(line, data),
+                         fourCallCommit(four, line, data));
+        ASSERT_FALSE(HasFailure()) << "iteration " << i;
+    }
+    EXPECT_EQ(one.population(), four.population());
+    EXPECT_GT(one.population(), 0u);
+    for (std::uint64_t line = 0; line < 900; ++line)
+        ASSERT_EQ(one.read(line).data, four.read(line).data);
 }
 
 } // namespace

@@ -67,6 +67,26 @@ TEST(SweepCli, ParseModesGroupsAndLists)
     EXPECT_THROW(parseModes(""), SimError);
 }
 
+TEST(SweepCli, ModeGroupsInsideAListSayTheyMustBeTheWholeValue)
+{
+    // A group inside a list once failed as an unknown mode whose
+    // closest match was itself ("did you mean 'all'?").
+    ScopedErrorTrap trap;
+    for (const char *arg : {"all,RWoW-RDE", "Baseline,pcmap", "all,all"}) {
+        try {
+            parseModes(arg);
+            FAIL() << "expected SimError for " << arg;
+        } catch (const SimError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("must be the whole value"),
+                      std::string::npos)
+                << what;
+            EXPECT_EQ(what.find("did you mean"), std::string::npos)
+                << what;
+        }
+    }
+}
+
 TEST(SweepCli, ParseWorkloadsGroupsAndLists)
 {
     EXPECT_FALSE(parseWorkloads("mt").empty());
