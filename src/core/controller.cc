@@ -223,7 +223,7 @@ bool
 MemoryController::idle() const
 {
     return readQ.empty() && writeQ.empty() && bgOps.empty() &&
-           inFlight == 0;
+           inFlight == 0 && freeTrains.size() == trains.size();
 }
 
 void

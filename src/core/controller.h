@@ -41,9 +41,9 @@
 #ifndef PCMAP_CORE_CONTROLLER_H
 #define PCMAP_CORE_CONTROLLER_H
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,7 +65,6 @@
 #include "mem/wear.h"
 #include "obs/trace_event.h"
 #include "sim/event_queue.h"
-#include "sim/slab_pool.h"
 #include "sim/types.h"
 
 namespace pcmap {
@@ -163,7 +162,8 @@ class MemoryController
     /** Close out time-integrated statistics at @p end_of_sim. */
     void finalize(Tick end_of_sim);
 
-    /** True when no request is queued or in flight. */
+    /** True when no request is queued or in flight and no write train
+     *  is live. */
     bool idle() const;
 
     std::size_t readQueueDepth() const { return readQ.size(); }
@@ -192,19 +192,57 @@ class MemoryController
     const WriteCoalescer &coalescerPolicy() const { return *coalescer; }
 
   private:
-    /** A deferred code-update or verification on specific chips. */
+    /**
+     * A deferred code update, verification or pre-SET on specific
+     * chips.  Its completion is plain data: completeBgOp() switches on
+     * the kind.
+     */
     struct BgOp
     {
         ChipMask chips = 0;
         unsigned rank = 0;
         unsigned bank = 0;
         std::uint64_t row = 0;
-        /** Line a pending pre-SET targets (kNoPresetLine otherwise). */
-        std::uint64_t presetLine = ~0ull;
         Tick duration = 0;
         Tick created = 0;
-        bool isWrite = false; ///< code update (write) vs verify (read)
-        std::function<void()> onDone; ///< may be empty (code updates)
+        obs::BgKind kind = obs::BgKind::CodeUpdate;
+        /** Verify only: the speculative read and its precomputed
+         *  outcome, reported when the check completes. */
+        bool fault = false;
+        unsigned core = 0;
+        ReqId id = 0;
+        obs::attrib::PhaseLedger *ledger = nullptr;
+        /** Preset only: the line the pulse targets. */
+        std::uint64_t presetLine = 0;
+
+        /** Code updates and pre-SETs write the array; verifies read. */
+        bool isWrite() const { return kind != obs::BgKind::Verify; }
+    };
+
+    /**
+     * One in-flight split or round-chained write (DESIGN.md §7).  A
+     * step train issues one chip step per event, the PCC step last
+     * (two-step and multi-step writes); a round chain issues one
+     * programming round of its WoW group per event.  Each event
+     * carries only the train's slot; slots and their member vectors
+     * are reused through a free list.
+     */
+    struct WriteTrain
+    {
+        unsigned rank = 0;
+        unsigned bank = 0;
+        std::uint64_t row = 0;
+        /** Step chip masks, ending in the PCC step; none (nSteps 0)
+         *  for a round chain, whose round count and pulse are the
+         *  timing config's. */
+        std::array<ChipMask, kWordsPerLine + 1> steps{};
+        unsigned nSteps = 0;
+        /** Next step index, or the round the next event starts. */
+        unsigned next = 0;
+        /** The group (round chain) or the one split write (multi-step;
+         *  a two-step write schedules its completion at issue, so its
+         *  train keeps none). */
+        std::vector<WriteGroupMember> members;
     };
 
     // --- Scheduling ---
@@ -218,6 +256,19 @@ class MemoryController
      */
     bool tryIssueWrites(Tick now, Tick &earliest);
     void tryIssueBgOps(Tick now);
+    /** Finish a background op: at its end tick, or one read hit after
+     *  issue for a verify when verify traffic is not modelled. */
+    void completeBgOp(const BgOp &op);
+
+    // --- Write trains ---
+    /** Take a free train slot (or grow the pool) for one write. */
+    std::uint32_t acquireTrain(unsigned rank, unsigned bank,
+                               std::uint64_t row);
+    void releaseTrain(std::uint32_t slot);
+    /** Schedule the train's next step or round at @p when. */
+    void scheduleTrain(Tick when, std::uint32_t slot);
+    /** Issue the train's next step or round (the train's event). */
+    void advanceTrain(std::uint32_t slot);
 
     // --- Timing helpers ---
     /** Reserve every chip in @p chips for [start, end). */
@@ -226,7 +277,7 @@ class MemoryController
                       bool is_write);
 
     // --- Write service pieces ---
-    void completeSilentWrite(WriteEntry entry, WordMask essential);
+    void completeSilentWrite(const WriteEntry &entry);
     /** Queue background ECC/PCC updates for a committed write. */
     void queueCodeUpdates(std::uint64_t line_addr, unsigned rank,
                           unsigned bank, std::uint64_t row, bool ecc,
@@ -239,8 +290,7 @@ class MemoryController
      * @return Handle usable to cancel the completion.
      */
     EventHandle scheduleWriteCompletion(const WriteEntry &entry,
-                                        WordMask essential, Tick done,
-                                        obs::WriteKind kind,
+                                        Tick done, obs::WriteKind kind,
                                         bool track_active = false);
 
     /**
@@ -333,11 +383,12 @@ class MemoryController
     WearTracker wearTracker;
 
     /**
-     * Slab pool behind the write scheduler's short-lived shared
-     * state (continuation chains, parked entries, group member
-     * lists): free-list reuse instead of a malloc per write.
+     * Write-train slots and their free list; the pool grows to the
+     * peak number of live trains.  Growth moves the records, so no
+     * reference to one is held across a kick().
      */
-    SlabArena slabArena;
+    std::vector<WriteTrain> trains;
+    std::vector<std::uint32_t> freeTrains;
 
     /** Run-level trace recorder; null when tracing is off. */
     obs::TraceRecorder *trace = nullptr;

@@ -8,6 +8,7 @@
 
 #include "core/controller.h"
 
+#include "obs/attrib.h"
 #include "obs/trace.h"
 #include "sim/log.h"
 
@@ -29,9 +30,8 @@ MemoryController::queueCodeUpdates(std::uint64_t line_addr,
         op.bank = bank;
         op.row = row;
         op.duration = cfg.timing.chipWriteTicks();
-        op.isWrite = true;
         op.created = created;
-        bgOps.push_back(std::move(op));
+        bgOps.push_back(op);
         ++codeBacklog;
     }
     if (pcc && cfg.hasPcc()) {
@@ -42,9 +42,8 @@ MemoryController::queueCodeUpdates(std::uint64_t line_addr,
         op.bank = bank;
         op.row = row;
         op.duration = cfg.timing.chipWriteTicks();
-        op.isWrite = true;
         op.created = created;
-        bgOps.push_back(std::move(op));
+        bgOps.push_back(op);
         ++codeBacklog;
     }
 }
@@ -65,22 +64,10 @@ MemoryController::queuePreset(std::uint64_t line_addr, unsigned rank,
                   cfg.timing.burstTicks() +
                   static_cast<Tick>(cfg.timing.writeRounds) *
                       nsToTicks(cfg.timing.setNs);
-    op.isWrite = true;
     op.created = eventq.now();
+    op.kind = obs::BgKind::Preset;
     op.presetLine = line_addr;
-    op.onDone = [this, line_addr]() {
-        ++counters.presetsIssued;
-        // Energy: every 0 bit of the stored line gets a SET pulse.
-        const StoredLine &stored = backing.read(line_addr);
-        for (unsigned w = 0; w < kWordsPerLine; ++w)
-            energyModel.recordWordWrite(stored.data.w[w], ~0ull);
-        // Mark the buffered write (if still queued) as pre-SET.
-        for (WriteEntry &entry : writeQ) {
-            if (entry.line == line_addr)
-                entry.presetDone = true;
-        }
-    };
-    bgOps.push_back(std::move(op));
+    bgOps.push_back(op);
     ++codeBacklog; // shares the finite pending-op buffer
 }
 
@@ -96,7 +83,7 @@ MemoryController::tryIssueBgOps(Tick now)
         // (Section IV-B3), while code updates can ride out a whole
         // drain phase.
         const Tick force_age =
-            op.isWrite ? kBgForceAge : kVerifyForceAge;
+            op.isWrite() ? kBgForceAge : kVerifyForceAge;
         const bool aged = now - op.created >= force_age;
         const Tick free_at =
             ranks[op.rank].freeAt(op.chips, op.bank);
@@ -120,40 +107,70 @@ MemoryController::tryIssueBgOps(Tick now)
 
         // Row activation if the op's row is not already open.
         Tick duration = op.duration;
-        if (!op.isWrite &&
+        if (!op.isWrite() &&
             !ranks[op.rank].rowOpenAll(op.chips, op.bank, op.row)) {
             duration += cfg.timing.actTicks();
         }
         const Tick end = start + duration;
         if (trace != nullptr) {
-            const bool is_preset = op.presetLine != ~0ull;
-            const obs::BgKind bg_kind =
-                is_preset ? obs::BgKind::Preset
-                          : (op.isWrite ? obs::BgKind::CodeUpdate
-                                        : obs::BgKind::Verify);
             trace->record(obs::TracePoint::BgIssue, start, duration,
-                          is_preset ? op.presetLine : 0, op.chips,
-                          static_cast<std::uint64_t>(bg_kind) |
+                          op.presetLine, op.chips,
+                          static_cast<std::uint64_t>(op.kind) |
                               (forced ? obs::kBgForcedFlag : 0),
                           channelId, op.rank, op.bank);
         }
         reserveChips(op.rank, op.chips, op.bank, op.row, start, end,
-                     op.isWrite);
-        if (op.isWrite) {
+                     op.isWrite());
+        if (op.isWrite()) {
             pcmap_assert(codeBacklog > 0);
             --codeBacklog;
         }
         ++counters.bgOpsIssued;
         ++inFlight;
-        auto done_cb = std::move(op.onDone);
+        const BgOp done = op;
         bgOps.erase(bgOps.begin() + static_cast<std::ptrdiff_t>(i));
-        eventq.schedule(end, [this, done_cb = std::move(done_cb)]() {
-            --inFlight;
-            if (done_cb)
-                done_cb();
-            kick();
-        });
+        eventq.schedule(end, [this, done]() { completeBgOp(done); });
     }
+}
+
+void
+MemoryController::completeBgOp(const BgOp &op)
+{
+    --inFlight;
+    switch (op.kind) {
+    case obs::BgKind::CodeUpdate:
+        break;
+    case obs::BgKind::Verify:
+        ++counters.verifiesCompleted;
+        pcmap_assert(pendingVerifies > 0);
+        --pendingVerifies;
+        if (op.fault)
+            ++counters.faultsDetected;
+        PCMAP_OBS_TRACE(trace,
+                        op.fault ? obs::TracePoint::SpecRollback
+                                 : obs::TracePoint::SpecVerify,
+                        eventq.now(), 0, op.id, 0, 0, channelId, op.rank,
+                        op.bank);
+        if (attrib != nullptr)
+            attrib->finishSpec(op.ledger, eventq.now(), op.fault);
+        if (verifyCb)
+            verifyCb(op.id, op.core, op.fault);
+        break;
+    case obs::BgKind::Preset: {
+        ++counters.presetsIssued;
+        // Energy: every 0 bit of the stored line gets a SET pulse.
+        const StoredLine &stored = backing.read(op.presetLine);
+        for (unsigned w = 0; w < kWordsPerLine; ++w)
+            energyModel.recordWordWrite(stored.data.w[w], ~0ull);
+        // Mark the buffered write (if still queued) as pre-SET.
+        for (WriteEntry &entry : writeQ) {
+            if (entry.line == op.presetLine)
+                entry.presetDone = true;
+        }
+        break;
+    }
+    }
+    kick();
 }
 
 } // namespace pcmap

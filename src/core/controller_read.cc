@@ -158,7 +158,7 @@ MemoryController::queueVerifyOp(const ReadPlan &plan, const MemRequest &req,
     op.rank = loc.rank;
     op.bank = loc.bank;
     op.row = loc.row;
-    op.isWrite = false;
+    op.kind = obs::BgKind::Verify;
     op.created = eventq.now();
     ChipMask chips = 0;
     if (plan.reconstruct && plan.busyChip != kNoWord)
@@ -170,42 +170,21 @@ MemoryController::queueVerifyOp(const ReadPlan &plan, const MemRequest &req,
     pcmap_assert(chips != 0);
     op.chips = chips;
     op.duration = cfg.timing.readHitTicks();
-    const ReqId id = req.id;
-    const unsigned core = req.coreId;
+    op.fault = fault;
+    op.core = req.coreId;
+    op.id = req.id;
+    op.ledger = req.ledger;
     PCMAP_OBS_TRACE(trace, obs::TracePoint::SpecDefer, op.created, 0,
-                    id, chips, 0, channelId, loc.rank, loc.bank);
-    const unsigned v_rank = loc.rank;
-    const unsigned v_bank = loc.bank;
-    obs::attrib::PhaseLedger *led = req.ledger;
-    op.onDone = [this, id, core, fault, v_rank, v_bank, led]() {
-        ++counters.verifiesCompleted;
-        pcmap_assert(pendingVerifies > 0);
-        --pendingVerifies;
-        if (fault)
-            ++counters.faultsDetected;
-        PCMAP_OBS_TRACE(trace,
-                        fault ? obs::TracePoint::SpecRollback
-                              : obs::TracePoint::SpecVerify,
-                        eventq.now(), 0, id, 0, 0, channelId, v_rank,
-                        v_bank);
-        if (attrib != nullptr)
-            attrib->finishSpec(led, eventq.now(), fault);
-        if (verifyCb)
-            verifyCb(id, core, fault);
-    };
+                    op.id, chips, 0, channelId, loc.rank, loc.bank);
     if (!cfg.modelVerifyTraffic) {
         // Ablation: the check is functionally performed but charged
         // no chip time; report it one read-hit later.
         ++inFlight;
         eventq.schedule(eventq.now() + cfg.timing.readHitTicks(),
-                        [this, done = std::move(op.onDone)]() {
-                            --inFlight;
-                            done();
-                            kick();
-                        });
+                        [this, op]() { completeBgOp(op); });
         return;
     }
-    bgOps.push_back(std::move(op));
+    bgOps.push_back(op);
 }
 
 bool

@@ -9,7 +9,6 @@
 #include "core/controller.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/attrib.h"
 #include "obs/trace.h"
@@ -18,9 +17,8 @@
 namespace pcmap {
 
 void
-MemoryController::completeSilentWrite(WriteEntry entry, WordMask essential)
+MemoryController::completeSilentWrite(const WriteEntry &entry)
 {
-    pcmap_assert(essential == 0);
     ++counters.writesCompleted;
     ++counters.writesSilent;
     ++counters.essentialHist[0];
@@ -47,11 +45,9 @@ MemoryController::completeSilentWrite(WriteEntry entry, WordMask essential)
 
 EventHandle
 MemoryController::scheduleWriteCompletion(const WriteEntry &entry,
-                                          WordMask essential, Tick done,
-                                          obs::WriteKind kind,
+                                          Tick done, obs::WriteKind kind,
                                           bool track_active)
 {
-    (void)essential;
     ++inFlight;
     const std::uint64_t line = entry.line;
     const CacheLine data = entry.req.data;
@@ -158,7 +154,8 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
         // The write outran its background pre-SET: drop the pending
         // pulse instead of wasting it on a line leaving the queue.
         for (std::size_t i = 0; i < bgOps.size(); ++i) {
-            if (bgOps[i].presetLine == head.line) {
+            if (bgOps[i].kind == obs::BgKind::Preset &&
+                bgOps[i].presetLine == head.line) {
                 pcmap_assert(codeBacklog > 0);
                 --codeBacklog;
                 bgOps.erase(bgOps.begin() +
@@ -175,7 +172,7 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
     counters.essentialWordsSum += n_essential;
 
     if (essential == 0) {
-        completeSilentWrite(std::move(head), essential);
+        completeSilentWrite(head);
         return true;
     }
     ++counters.essentialHist[n_essential];
@@ -235,9 +232,9 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
                             obs::WriteKind::Coarse),
                         channelId, loc.rank, loc.bank);
         writeSlotFreeAt[loc.rank] = e;
-        const EventHandle completion = scheduleWriteCompletion(
-            head, essential, e, obs::WriteKind::Coarse,
-            cfg.enableWriteCancellation);
+        const EventHandle completion =
+            scheduleWriteCompletion(head, e, obs::WriteKind::Coarse,
+                                    cfg.enableWriteCancellation);
         if (cfg.enableWriteCancellation) {
             activeWrite.valid = true;
             activeWrite.rank = loc.rank;
@@ -272,34 +269,29 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
     const bool multi_step =
         coalescer->splitMultiStep(n_essential, !readQ.empty());
     if (multi_step) {
-        std::vector<unsigned> step_chips;
-        for (unsigned w = 0; w < kWordsPerLine; ++w) {
-            if (essential & (1u << w))
-                step_chips.push_back(lineLayout->chipForWord(line, w));
-        }
-        const unsigned ecc_c = lineLayout->eccChip(line);
-        const unsigned pcc_c = lineLayout->pccChip(line);
-        const unsigned w_rank = loc.rank;
-        const unsigned bank = loc.bank;
-        const std::uint64_t row = loc.row;
+        // One chip per step (the first with the ECC chip), then PCC.
+        const std::uint32_t slot = acquireTrain(loc.rank, loc.bank, loc.row);
+        WriteTrain &t = trains[slot];
+        forEachSetBit(essential, [&](unsigned w) {
+            t.steps[t.nSteps++] =
+                static_cast<ChipMask>(1u << lineLayout->chipForWord(line, w));
+        });
+        t.steps[t.nSteps++] = static_cast<ChipMask>(1u << pcc_chip);
 
         // Step 0 now: first essential chip + the ECC chip.
         const ChipMask first =
-            static_cast<ChipMask>(1u << step_chips[0]) |
-            static_cast<ChipMask>(1u << ecc_c);
+            t.steps[0] | static_cast<ChipMask>(1u << ecc_chip);
         const Tick lower =
-            std::max(now, ranks[w_rank].freeAt(first, bank));
+            std::max(now, ranks[loc.rank].freeAt(first, loc.bank));
         Tick s0 = 0;
         Tick e0 = 0;
         buses.computeWriteWindow(first, lower, s0, e0);
-        reserveChips(w_rank, first, bank, row, s0, e0, true);
+        reserveChips(loc.rank, first, loc.bank, loc.row, s0, e0, true);
         buses.occupy(first,
                      s0 + cfg.timing.writeColTicks() +
                          cfg.timing.burstTicks(),
                      true);
-        irlpTrackers[w_rank].addOp(
-            now, s0, e0, static_cast<ChipMask>(1u << step_chips[0]),
-            true);
+        irlpTrackers[loc.rank].addOp(now, s0, e0, t.steps[0], true);
         // One chip pulses at a time throughout the serialized chain.
         counters.writeIrlpHist.sample(1);
         counters.queueResidencyHist.sample(s0 - head.req.enqueueTick);
@@ -312,73 +304,25 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
                         line, first,
                         static_cast<std::uint64_t>(
                             obs::WriteKind::MultiStep),
-                        channelId, w_rank, bank);
+                        channelId, loc.rank, loc.bank);
 
-        // Later steps chain as events so their chips stay visibly
-        // free (for RoW reads) until each step actually begins.
-        using ChainFn = std::function<void(std::size_t)>;
-        auto chain = std::allocate_shared<ChainFn>(
-            SlabAllocator<ChainFn>(slabArena));
-        auto entry_ptr = std::allocate_shared<WriteEntry>(
-            SlabAllocator<WriteEntry>(slabArena), std::move(head));
-        // The chain function must not own itself (shared_ptr cycle =
-        // leak); each scheduled step re-acquires ownership from the
-        // weak ref, and the pending event holds the only strong one.
-        std::weak_ptr<std::function<void(std::size_t)>> weak_chain =
-            chain;
-        *chain = [this, step_chips, w_rank, bank, row, pcc_c, entry_ptr,
-                  essential, weak_chain](std::size_t idx) {
-            const Tick t0 = eventq.now();
-            const bool is_pcc = idx >= step_chips.size();
-            const ChipMask chips = static_cast<ChipMask>(
-                1u << (is_pcc ? pcc_c : step_chips[idx]));
-            const Tick lower2 =
-                std::max(t0, ranks[w_rank].freeAt(chips, bank));
-            Tick s1 = 0;
-            Tick e1 = 0;
-            buses.computeWriteWindow(chips, lower2, s1, e1);
-            reserveChips(w_rank, chips, bank, row, s1, e1, true);
-            buses.occupy(chips,
-                         s1 + cfg.timing.writeColTicks() +
-                             cfg.timing.burstTicks(),
-                         true);
-            irlpTrackers[w_rank].addOp(t0, s1, e1, is_pcc ? 0 : chips,
-                                       true);
-            if (is_pcc) {
-                // Chain complete; the write commits at the end of the
-                // last data step (this PCC pulse trails).
-                eventq.schedule(e1, [this]() { kick(); });
-                return;
-            }
-            const bool last_data = idx + 1 >= step_chips.size();
-            if (last_data) {
-                writeSlotFreeAt[w_rank] =
-                    std::max(writeSlotFreeAt[w_rank], e1);
-                scheduleWriteCompletion(*entry_ptr, essential, e1,
-                                        obs::WriteKind::MultiStep);
-            }
-            ++inFlight;
-            eventq.schedule(e1, [this, next = weak_chain.lock(),
-                                 idx]() {
-                --inFlight;
-                (*next)(idx + 1);
-            });
-        };
-        writeSlotFreeAt[w_rank] =
-            e0 + (step_chips.size() - 1) * cfg.timing.chipWriteTicks();
+        // Later steps issue from the train's events so their chips
+        // stay visibly free (for RoW reads) until each step begins.
+        t.next = 1;
+        t.members.push_back(WriteGroupMember{std::move(head), essential,
+                                             data_chips, line, loc.row,
+                                             n_essential});
+        writeSlotFreeAt[loc.rank] =
+            e0 + (t.nSteps - 2) * cfg.timing.chipWriteTicks();
         ++counters.multiStepWrites;
         if (cfg.timing.writeRounds > 1) {
             // Each serialized chip step runs its full round train
             // (data steps plus the trailing PCC step).
             counters.writeRoundsIssued +=
                 static_cast<std::uint64_t>(cfg.timing.writeRounds) *
-                (step_chips.size() + 1);
+                t.nSteps;
         }
-        ++inFlight;
-        eventq.schedule(e0, [this, chain]() {
-            --inFlight;
-            (*chain)(1);
-        });
+        scheduleTrain(e0, slot);
         return true;
     }
 
@@ -406,29 +350,10 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
         // end of step 1 rather than reserved ahead of time.  The
         // paper's "immediately after, with no interrupt" rule is
         // honoured up to an in-flight RoW read's tail on the chip.
-        const ChipMask step2 = static_cast<ChipMask>(1u << pcc_chip);
-        const unsigned w_rank = loc.rank;
-        const unsigned bank = loc.bank;
-        const std::uint64_t row = loc.row;
-        ++inFlight;
-        eventq.schedule(e1, [this, step2, w_rank, bank, row]() {
-            const Tick t0 = eventq.now();
-            const Tick lower2 =
-                std::max(t0, ranks[w_rank].freeAt(step2, bank));
-            Tick s2 = 0;
-            Tick e2 = 0;
-            buses.computeWriteWindow(step2, lower2, s2, e2);
-            reserveChips(w_rank, step2, bank, row, s2, e2, true);
-            buses.occupy(step2,
-                         s2 + cfg.timing.writeColTicks() +
-                             cfg.timing.burstTicks(),
-                         true);
-            irlpTrackers[w_rank].addOp(t0, s2, e2, 0, true);
-            eventq.schedule(e2, [this]() {
-                --inFlight;
-                kick();
-            });
-        });
+        const std::uint32_t slot = acquireTrain(loc.rank, loc.bank, loc.row);
+        WriteTrain &t = trains[slot];
+        t.steps[t.nSteps++] = static_cast<ChipMask>(1u << pcc_chip);
+        scheduleTrain(e1, slot);
 
         irlpTrackers[loc.rank].addOp(now, s1, e1, data_chips, true);
         counters.writeIrlpHist.sample(chipCount(data_chips));
@@ -449,15 +374,16 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
             counters.writeRoundsIssued += 2 * cfg.timing.writeRounds;
         }
         writeSlotFreeAt[loc.rank] = e1;
-        scheduleWriteCompletion(head, essential, e1,
-                                obs::WriteKind::TwoStep);
+        scheduleWriteCompletion(head, e1, obs::WriteKind::TwoStep);
         return true;
     }
 
     // Parallel fine write, optionally consolidating further queued
     // writes to the same bank whose essential chips do not overlap
-    // (WoW, Section IV-C).
-    std::vector<WriteGroupMember> group;
+    // (WoW, Section IV-C).  The group is built in a train slot, which
+    // stays live only when its rounds chain.
+    const std::uint32_t slot = acquireTrain(loc.rank, loc.bank, loc.row);
+    std::vector<WriteGroupMember> &group = trains[slot].members;
     group.push_back(WriteGroupMember{std::move(head), essential,
                                      data_chips, line, loc.row,
                                      n_essential});
@@ -515,10 +441,8 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
                         static_cast<std::uint64_t>(
                             obs::WriteKind::Group),
                         channelId, loc.rank, loc.bank);
-        if (!chain_rounds) {
-            scheduleWriteCompletion(m.entry, m.essential, e,
-                                    obs::WriteKind::Group);
-        }
+        if (!chain_rounds)
+            scheduleWriteCompletion(m.entry, e, obs::WriteKind::Group);
         queueCodeUpdates(m.line, loc.rank, loc.bank, m.row, true, true,
                          now);
     }
@@ -537,75 +461,128 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
     writeSlotFreeAt[loc.rank] = e;
 
     if (chain_rounds) {
-        using Members = std::vector<WriteGroupMember>;
-        auto members = std::allocate_shared<Members>(
-            SlabAllocator<Members>(slabArena), std::move(group));
-        const unsigned w_rank = loc.rank;
-        const unsigned w_bank = loc.bank;
-        // Same weak-ref chain shape as the multi-step path: each
-        // pending event holds the only strong ref to the chain fn.
-        using RoundFn = std::function<void(unsigned)>;
-        auto chain = std::allocate_shared<RoundFn>(
-            SlabAllocator<RoundFn>(slabArena));
-        std::weak_ptr<std::function<void(unsigned)>> weak_chain = chain;
-        *chain = [this, members, w_rank, w_bank, pulse, rounds,
-                  weak_chain](unsigned round) {
-            const Tick t0 = eventq.now();
-            // Round boundary: give queued reads first claim on the
-            // chips (they plan against the un-reserved gap), then
-            // start the next round once every member chip is free
-            // again.  RoW's preemption of an in-flight MLC write.
-            if (coalescer->pauseAtRoundBoundary(!readQ.empty()))
-                kick();
-            ChipMask all = 0;
-            for (const WriteGroupMember &m : *members)
-                all |= m.chips;
-            const Tick rs =
-                std::max(t0, ranks[w_rank].freeAt(all, w_bank));
-            if (rs > t0)
-                ++counters.writeRoundPauses;
-            const Tick re = rs + pulse;
-            for (const WriteGroupMember &m : *members) {
-                forEachSetBit(m.chips, [&](unsigned c) {
-                    ranks[w_rank].reserveChip(c, w_bank, m.row, rs,
-                                              re, true);
-                });
-                irlpTrackers[w_rank].addOp(t0, rs, re, m.chips, true);
-                if (obs::attrib::PhaseLedger *led =
-                        m.entry.req.ledger) {
-                    // The previous round's pulse ended at this round
-                    // boundary; the gap until the chips come free
-                    // again is a round pause.
-                    led->account(obs::attrib::Phase::ArrayAccess, t0);
-                    led->account(obs::attrib::Phase::RoundPause, rs);
-                }
-            }
-            if (round + 1 >= rounds) {
-                writeSlotFreeAt[w_rank] =
-                    std::max(writeSlotFreeAt[w_rank], re);
-                for (const WriteGroupMember &m : *members) {
-                    scheduleWriteCompletion(m.entry, m.essential, re,
-                                            obs::WriteKind::Group);
-                }
-                return;
-            }
-            writeSlotFreeAt[w_rank] = std::max(
-                writeSlotFreeAt[w_rank],
-                re + static_cast<Tick>(rounds - round - 1) * pulse);
-            ++inFlight;
-            eventq.schedule(re, [this, next = weak_chain.lock(),
-                                 round]() {
-                --inFlight;
-                (*next)(round + 1);
-            });
-        };
-        ++inFlight;
-        eventq.schedule(e_first, [this, chain]() {
-            --inFlight;
-            (*chain)(1);
-        });
+        trains[slot].next = 1;
+        scheduleTrain(e_first, slot);
+    } else {
+        releaseTrain(slot);
     }
     return true;
+}
+
+std::uint32_t
+MemoryController::acquireTrain(unsigned rank, unsigned bank,
+                               std::uint64_t row)
+{
+    std::uint32_t slot;
+    if (freeTrains.empty()) {
+        slot = static_cast<std::uint32_t>(trains.size());
+        trains.emplace_back();
+    } else {
+        slot = freeTrains.back();
+        freeTrains.pop_back();
+    }
+    WriteTrain &t = trains[slot];
+    t.rank = rank;
+    t.bank = bank;
+    t.row = row;
+    t.nSteps = 0;
+    t.next = 0;
+    return slot;
+}
+
+void
+MemoryController::releaseTrain(std::uint32_t slot)
+{
+    trains[slot].members.clear(); // keeps the capacity for reuse
+    freeTrains.push_back(slot);
+}
+
+void
+MemoryController::scheduleTrain(Tick when, std::uint32_t slot)
+{
+    eventq.schedule(when, [this, slot]() { advanceTrain(slot); });
+}
+
+void
+MemoryController::advanceTrain(std::uint32_t slot)
+{
+    const Tick t0 = eventq.now();
+    if (trains[slot].nSteps > 0) {
+        WriteTrain &t = trains[slot];
+        // Step train.  Past the PCC step the train is done: the write
+        // committed at the end of its last data step.
+        if (t.next == t.nSteps) {
+            releaseTrain(slot);
+            kick();
+            return;
+        }
+        const unsigned idx = t.next++;
+        const bool is_pcc = idx + 1 == t.nSteps;
+        const ChipMask chips = t.steps[idx];
+        const Tick lower =
+            std::max(t0, ranks[t.rank].freeAt(chips, t.bank));
+        Tick s = 0;
+        Tick e = 0;
+        buses.computeWriteWindow(chips, lower, s, e);
+        reserveChips(t.rank, chips, t.bank, t.row, s, e, true);
+        buses.occupy(chips,
+                     s + cfg.timing.writeColTicks() +
+                         cfg.timing.burstTicks(),
+                     true);
+        irlpTrackers[t.rank].addOp(t0, s, e, is_pcc ? 0 : chips, true);
+        if (idx + 2 == t.nSteps) {
+            // Last data step of a multi-step write: it commits here
+            // (the PCC pulse trails), before the PCC step's event.
+            writeSlotFreeAt[t.rank] = std::max(writeSlotFreeAt[t.rank], e);
+            scheduleWriteCompletion(t.members.front().entry, e,
+                                    obs::WriteKind::MultiStep);
+        }
+        scheduleTrain(e, slot);
+        return;
+    }
+
+    // Round chain.  Round boundary: when reads wait, give them first
+    // claim on the chips (they plan against the un-reserved gap), then
+    // start the next round once every member chip is free again —
+    // RoW's preemption of an in-flight MLC write.
+    if (coalescer->pauseAtRoundBoundary(!readQ.empty()))
+        kick();
+    // The kick may start other trains and grow the pool, so the train
+    // is looked up after it.
+    WriteTrain &t = trains[slot];
+    ChipMask all = 0;
+    for (const WriteGroupMember &m : t.members)
+        all |= m.chips;
+    const Tick rs = std::max(t0, ranks[t.rank].freeAt(all, t.bank));
+    if (rs > t0)
+        ++counters.writeRoundPauses;
+    const unsigned rounds = cfg.timing.writeRounds;
+    const Tick pulse = cfg.timing.roundTicks();
+    const Tick re = rs + pulse;
+    for (const WriteGroupMember &m : t.members) {
+        forEachSetBit(m.chips, [&](unsigned c) {
+            ranks[t.rank].reserveChip(c, t.bank, m.row, rs, re, true);
+        });
+        irlpTrackers[t.rank].addOp(t0, rs, re, m.chips, true);
+        if (obs::attrib::PhaseLedger *led = m.entry.req.ledger) {
+            // The previous round's pulse ended at this round boundary;
+            // the gap until the chips come free again is a round pause.
+            led->account(obs::attrib::Phase::ArrayAccess, t0);
+            led->account(obs::attrib::Phase::RoundPause, rs);
+        }
+    }
+    const unsigned round = t.next++;
+    if (round + 1 >= rounds) {
+        writeSlotFreeAt[t.rank] = std::max(writeSlotFreeAt[t.rank], re);
+        for (const WriteGroupMember &m : t.members)
+            scheduleWriteCompletion(m.entry, re, obs::WriteKind::Group);
+        releaseTrain(slot);
+        return;
+    }
+    writeSlotFreeAt[t.rank] =
+        std::max(writeSlotFreeAt[t.rank],
+                 re + static_cast<Tick>(rounds - round - 1) * pulse);
+    scheduleTrain(re, slot);
 }
 
 void

@@ -9,14 +9,6 @@ namespace pcmap {
 // ---------------------------------------------------------------------
 
 bool
-PassThroughCoalescer::splitTwoStep(unsigned n_essential,
-                                   bool reads_waiting) const
-{
-    return cfg.enableRoW && cfg.enableTwoStep && n_essential == 1 &&
-           reads_waiting;
-}
-
-bool
 PassThroughCoalescer::splitMultiStep(unsigned n_essential,
                                      bool reads_waiting) const
 {
@@ -49,13 +41,6 @@ PassThroughCoalescer::collect(WriteQueue &write_queue, unsigned rank,
 // ---------------------------------------------------------------------
 // WowCoalescer
 // ---------------------------------------------------------------------
-
-bool
-WowCoalescer::splitTwoStep(unsigned n_essential, bool reads_waiting) const
-{
-    return cfg.enableRoW && cfg.enableTwoStep && n_essential == 1 &&
-           reads_waiting;
-}
 
 bool
 WowCoalescer::splitMultiStep(unsigned n_essential,

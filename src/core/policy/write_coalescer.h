@@ -102,10 +102,14 @@ class WriteCoalescer
     /**
      * Should this write split into data+ECC then PCC steps so a
      * concurrent RoW read can reconstruct around its one busy chip
-     * (Section IV-B1)?
+     * (Section IV-B1)?  The same rule for every coalescer.
      */
-    virtual bool splitTwoStep(unsigned n_essential,
-                              bool reads_waiting) const = 0;
+    bool
+    splitTwoStep(unsigned n_essential, bool reads_waiting) const
+    {
+        return cfg.enableRoW && cfg.enableTwoStep && n_essential == 1 &&
+               reads_waiting;
+    }
 
     /**
      * Should this write serialize into one-chip partial steps
@@ -171,8 +175,6 @@ class PassThroughCoalescer final : public WriteCoalescer
 
     const char *name() const override { return "solo"; }
 
-    bool splitTwoStep(unsigned n_essential,
-                      bool reads_waiting) const override;
     bool splitMultiStep(unsigned n_essential,
                         bool reads_waiting) const override;
     void collect(WriteQueue &write_queue, unsigned rank, unsigned bank,
@@ -193,8 +195,6 @@ class WowCoalescer final : public WriteCoalescer
 
     const char *name() const override { return "wow"; }
 
-    bool splitTwoStep(unsigned n_essential,
-                      bool reads_waiting) const override;
     bool splitMultiStep(unsigned n_essential,
                         bool reads_waiting) const override;
     void collect(WriteQueue &write_queue, unsigned rank, unsigned bank,

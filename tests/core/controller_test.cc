@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <vector>
 
 #include "core/controller.h"
+#include "obs/trace.h"
 #include "sim/rng.h"
 #include "paper_systems.h"
 
@@ -85,7 +87,10 @@ class ControllerTest : public ::testing::Test
             if (mask & (1u << i))
                 req.data.w[i] = rng.next() | 1ull;
         }
-        return mc->enqueueWrite(req);
+        if (!mc->enqueueWrite(req))
+            return false;
+        lastWrite[line] = req.data;
+        return true;
     }
 
     void runAll() { eq.run(); }
@@ -104,6 +109,8 @@ class ControllerTest : public ::testing::Test
     std::unique_ptr<MemoryController> mc;
     std::vector<Completion> done;
     std::vector<Verify> verifies;
+    /** Data of each line's last accepted write. */
+    std::map<std::uint64_t, CacheLine> lastWrite;
     int retries = 0;
     ReqId nextId = 1;
     Rng rng{99};
@@ -534,6 +541,72 @@ TEST_F(ControllerTest, MultiWordRoWOffByDefault)
     runAll();
     EXPECT_EQ(mc->stats().multiStepWrites, 0u);
     EXPECT_EQ(mc->stats().writesCompleted, 3u);
+}
+
+TEST_F(ControllerTest, WriteTrainsOverlapAndDrainToIdle)
+{
+    // Split and round-chained writes run as train records advanced by
+    // events.  At tlc with RoW, a lone multi-word write chains its
+    // programming rounds and pauses at a round boundary for a read
+    // that needs its chips.  Then a drain under waiting reads splits a
+    // multi-word write into one-chip steps, and the next write on the
+    // rank starts at its commit, while that train's trailing PCC step
+    // is still in flight.
+    build(presets::RoW_NR, [](ControllerConfig &c) {
+        c.timing = c.timing.withOrg(DeviceOrg::Tlc);
+        c.rowMultiWordWrites = true;
+        c.writeQueueCap = 4;
+    });
+    obs::TraceRecorder rec(1u << 14);
+    mc->setTraceRecorder(&rec);
+    const PcmTiming t = PcmTiming::forOrg(DeviceOrg::Tlc);
+
+    // Round chain: three busy chips, so the read cannot reconstruct
+    // around them and takes the gap at the first round boundary.
+    write(addrFor(0, 1, 0), 0b00000111);
+    runFor(t.chipWriteTicks() / (2 * t.writeRounds));
+    read(addrFor(0, 1, 5));
+    runAll();
+    EXPECT_GE(mc->stats().writeRoundPauses, 1u);
+    EXPECT_TRUE(mc->idle());
+
+    // Multi-step trains: reads wait on a conflicting row of bank 6
+    // while four multi-word writes to bank 0 fill the queue and drain.
+    for (unsigned i = 0; i < 6; ++i)
+        read(addrFor(6, 10 + i));
+    for (unsigned i = 0; i < 4; ++i)
+        write(addrFor(0, 2 + i / 2, 1 + i), 0b00101001);
+    runAll();
+
+    EXPECT_GE(mc->stats().multiStepWrites, 1u);
+    EXPECT_GE(mc->stats().writeRoundPauses, 1u);
+    EXPECT_EQ(mc->stats().writesCompleted, 5u);
+    EXPECT_EQ(done.size(), 7u);
+    EXPECT_TRUE(mc->idle());
+    EXPECT_EQ(eq.pending(), 0u);
+    for (const auto &[line, data] : lastWrite)
+        EXPECT_EQ(store.read(line).data, data) << "line " << line;
+
+    // Some write started on rank 0 within one chip write of a
+    // multi-step commit, i.e. while that train's PCC step was live.
+    const obs::TraceRing &ring = rec.ring();
+    ASSERT_EQ(ring.dropped(), 0u);
+    bool overlapped = false;
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+        const obs::TraceEvent &c = ring.at(i);
+        if (c.point != obs::TracePoint::WriteComplete ||
+            c.arg0 != static_cast<std::uint64_t>(obs::WriteKind::MultiStep))
+            continue;
+        const Tick commit = c.ts + c.dur;
+        for (std::size_t j = 0; j < ring.size(); ++j) {
+            const obs::TraceEvent &w = ring.at(j);
+            if (w.point == obs::TracePoint::WriteIssue && w.id != c.id &&
+                w.rank == c.rank && w.ts >= commit &&
+                w.ts < commit + t.chipWriteTicks())
+                overlapped = true;
+        }
+    }
+    EXPECT_TRUE(overlapped);
 }
 
 // ---------------------------------------------------------------------
