@@ -194,8 +194,9 @@ CacheTier::scheduleHit(const Waiter &w, const CacheLine &data)
         when, [this, id = w.req.id, addr = w.req.addr,
                core = w.req.coreId, cb = w.cb, data, when,
                led = w.req.ledger]() {
-            if (led != nullptr) {
-                led->account(obs::attrib::Phase::CacheLookup, when);
+            if (led) {
+                attrib->account(led, obs::attrib::Phase::CacheLookup,
+                                when);
                 attrib->close(led, when);
             }
             ReadResponse resp;
@@ -362,8 +363,9 @@ CacheTier::issueFetch(Mshr &m)
     if (m.issued) {
         // The span the fetch sat unissued (MSHR allocated, PCM queue
         // full) is MSHR wait; downstream phases start here.
-        if (obs::attrib::PhaseLedger *led = req.ledger)
-            led->account(obs::attrib::Phase::MshrWait, eventq.now());
+        if (const obs::attrib::LedgerRef led = req.ledger)
+            attrib->account(led, obs::attrib::Phase::MshrWait,
+                            eventq.now());
     }
     return m.issued;
 }
@@ -411,12 +413,13 @@ CacheTier::onFillResponse(const ReadResponse &resp)
     // the array install happens in parallel.
     for (const Waiter &w : waiters) {
         tierStats.missLatency.sample(resp.completionTick - w.arrival);
-        if (obs::attrib::PhaseLedger *led = w.req.ledger) {
+        if (const obs::attrib::LedgerRef led = w.req.ledger) {
             // Merged waiters rode the primary's fetch: their whole
             // wait was MSHR time.  The primary's ledger went
-            // downstream and is already closed — both calls no-op.
-            led->account(obs::attrib::Phase::MshrWait,
-                         resp.completionTick);
+            // downstream and is already closed (or sampled, and its
+            // ref stale) — both calls no-op.
+            attrib->account(led, obs::attrib::Phase::MshrWait,
+                            resp.completionTick);
             attrib->close(led, resp.completionTick);
         }
         ReadResponse out;
@@ -440,7 +443,7 @@ CacheTier::install(std::uint64_t line, const CacheLine &data,
                                             writer);
     if (!ev.has_value())
         return;
-    obs::attrib::PhaseLedger *led = nullptr;
+    obs::attrib::LedgerRef led;
     if (attrib != nullptr) {
         led = attrib->open(obs::attrib::AttribOp::Writeback, ev->writer,
                            0, eventq.now());
@@ -468,11 +471,14 @@ CacheTier::drainWritebacks()
             wbStalled = true;
             break;
         }
-        if (pw.ledger != nullptr) {
+        if (pw.ledger) {
             // The span parked in the buffer (including drain stalls on
-            // a full PCM write queue) is write-back buffer time.
-            pw.ledger->setReqId(w.id);
-            pw.ledger->account(obs::attrib::Phase::WbBufferStall, now);
+            // a full PCM write queue) is write-back buffer time.  The
+            // ref is stale when the controller coalesced the write.
+            if (obs::attrib::PhaseLedger *led = attrib->find(pw.ledger)) {
+                led->setReqId(w.id);
+                led->account(obs::attrib::Phase::WbBufferStall, now);
+            }
         }
         PCMAP_OBS_TRACE(trace, obs::TracePoint::CacheWriteback, now, 0,
                         w.id, wordCount(pw.ev.dirtyWords),
@@ -517,7 +523,7 @@ void
 CacheTier::flushDirty()
 {
     for (Eviction &ev : array.flush()) {
-        obs::attrib::PhaseLedger *led = nullptr;
+        obs::attrib::LedgerRef led;
         if (attrib != nullptr) {
             led = attrib->open(obs::attrib::AttribOp::Writeback,
                                ev.writer, 0, eventq.now());

@@ -192,7 +192,7 @@ class CacheTier : public ForwardingPort
     {
         Eviction ev; ///< ev.writer is the attributed core
         /** Writeback phase ledger, opened at park (null: attrib off). */
-        obs::attrib::PhaseLedger *ledger = nullptr;
+        obs::attrib::LedgerRef ledger;
     };
 
     std::uint64_t lineOf(std::uint64_t addr) const;

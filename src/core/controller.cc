@@ -87,8 +87,8 @@ MemoryController::enqueueRead(const MemRequest &req, ReadCallback cb)
             now + cfg.timing.readColTicks() + cfg.timing.burstTicks();
         PCMAP_OBS_TRACE(trace, obs::TracePoint::ReadForwarded, now, 0,
                         req.id, 0, 0, channelId);
-        obs::attrib::PhaseLedger *led = req.ledger;
-        if (led == nullptr && attrib != nullptr)
+        obs::attrib::LedgerRef led = req.ledger;
+        if (!led && attrib != nullptr)
             led = attrib->open(obs::attrib::AttribOp::Read, req.coreId,
                                req.id, now);
         ++inFlight;
@@ -105,11 +105,11 @@ MemoryController::enqueueRead(const MemRequest &req, ReadCallback cb)
             PCMAP_OBS_TRACE(trace, obs::TracePoint::ReadComplete, enq,
                             resp.completionTick - enq, resp.id,
                             obs::kReadFlagForwarded, 0, channelId);
-            if (led != nullptr) {
+            if (led) {
                 // WQ-forwarded service counts as the device phase:
                 // it replaces the array access.
-                led->account(obs::attrib::Phase::ArrayAccess,
-                             resp.completionTick);
+                attrib->account(led, obs::attrib::Phase::ArrayAccess,
+                                resp.completionTick);
                 attrib->close(led, resp.completionTick);
             }
             --inFlight;

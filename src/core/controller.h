@@ -211,7 +211,7 @@ class MemoryController
         bool fault = false;
         unsigned core = 0;
         ReqId id = 0;
-        obs::attrib::PhaseLedger *ledger = nullptr;
+        obs::attrib::LedgerRef ledger;
         /** Preset only: the line the pulse targets. */
         std::uint64_t presetLine = 0;
 
@@ -355,6 +355,8 @@ class MemoryController
         /** One programming round's pulse length; 0 for single-round
          *  (SLC) writes, which cancel immediately as before. */
         Tick roundTicks = 0;
+        /** Data chips announced to the rank's IRLP tracker. */
+        ChipMask irlpChips = 0;
         EventHandle completion;
         WriteEntry entry;
     };

@@ -29,15 +29,15 @@ MemoryController::issueRead(const ReadPlan &plan)
     const std::uint64_t line = entry.line;
     const ChipMask data_mask = entry.dataMask;
 
-    if (obs::attrib::PhaseLedger *led = entry.req.ledger) {
+    if (const obs::attrib::LedgerRef led = entry.req.ledger) {
         // Decompose the queue wait before this issue's reservation
         // lands: the span the planned chips were busy is bankWait,
         // the residual (scheduler order, bus/lane/turnaround slack)
         // is queueResidency.
         const Tick bank_free = std::min(
             ranks[loc.rank].freeAt(plan.chips, loc.bank), plan.start);
-        led->account(obs::attrib::Phase::BankWait, bank_free);
-        led->account(obs::attrib::Phase::QueueResidency, plan.start);
+        attrib->account(led, obs::attrib::Phase::BankWait, bank_free);
+        attrib->account(led, obs::attrib::Phase::QueueResidency, plan.start);
     }
 
     reserveChips(loc.rank, plan.chips, loc.bank, loc.row, plan.start,
@@ -132,8 +132,8 @@ MemoryController::issueRead(const ReadPlan &plan)
                           channelId, loc.rank, loc.bank);
         }
 
-        if (obs::attrib::PhaseLedger *led = req.ledger) {
-            led->account(obs::attrib::Phase::ArrayAccess, done);
+        if (const obs::attrib::LedgerRef led = req.ledger) {
+            attrib->account(led, obs::attrib::Phase::ArrayAccess, done);
             // A speculative read completes now but its attribution
             // waits for the deferred verify verdict (annex phases).
             if (plan.speculative)

@@ -223,8 +223,8 @@ LinkModel::tryDeliver(Pending &p)
     // Everything up to the downstream handoff — queueing behind the
     // arbiter, serialization, propagation, stash retries — is link
     // wait; a refused delivery advances the span on the next attempt.
-    if (obs::attrib::PhaseLedger *led = p.req.ledger)
-        led->account(obs::attrib::Phase::LinkWait, eventq.now());
+    if (const obs::attrib::LedgerRef led = p.req.ledger)
+        attrib->account(led, obs::attrib::Phase::LinkWait, eventq.now());
     if (p.req.type == ReqType::Read) {
         if (!p.wrapped) {
             // The handoff tick is the first delivery attempt: from

@@ -11,13 +11,10 @@
 #include <functional>
 
 #include "mem/line.h"
+#include "obs/ledger_ref.h"
 #include "sim/types.h"
 
 namespace pcmap {
-
-namespace obs::attrib {
-class PhaseLedger;
-} // namespace obs::attrib
 
 /** Kind of main-memory access. */
 enum class ReqType : std::uint8_t { Read, Write };
@@ -42,12 +39,15 @@ struct MemRequest
     unsigned coreId = 0;         ///< Issuing core (for callbacks/stats).
     Tick enqueueTick = 0;        ///< Filled by the controller.
     /**
-     * Latency-attribution ledger (null unless obs attrib is on).
-     * Owned by the run's AttribCollector; layers attach ledgers only
-     * to request copies they store themselves, and copying a request
-     * copies the pointer so the ledger follows the request downstream.
+     * Latency-attribution ledger handle (null unless obs attrib is
+     * on).  The ledger lives in the run's AttribCollector; layers
+     * attach ledgers only to request copies they store themselves,
+     * and copying a request copies the handle so the ledger follows
+     * the request downstream.  The handle goes stale once the ledger
+     * is sampled or discarded, and every call through it is then a
+     * no-op.
      */
-    obs::attrib::PhaseLedger *ledger = nullptr;
+    obs::attrib::LedgerRef ledger;
     CacheLine data{};            ///< Write payload (writes only).
 };
 

@@ -62,23 +62,46 @@ AttribCollector::configureTenants(unsigned tenant_count,
     families.resize(static_cast<std::size_t>(tenantCount) * kOpCount);
 }
 
-PhaseLedger *
+LedgerRef
 AttribCollector::open(AttribOp op, unsigned core_id, std::uint64_t id,
                       Tick now)
 {
-    ledgers.emplace_back();
-    PhaseLedger &led = ledgers.back();
+    std::uint32_t slot;
+    if (freeHead != kNoSlot) {
+        slot = freeHead;
+        freeHead = slotAt(slot).nextFree;
+    } else {
+        if (slotsUsed == chunks.size() * kChunkSlots)
+            chunks.push_back(std::make_unique<Chunk>());
+        slot = slotsUsed++;
+    }
+    Slot &s = slotAt(slot);
+    ++s.generation; // even (free) -> odd (live)
+    s.ledger = PhaseLedger{};
+    PhaseLedger &led = s.ledger;
     led.start = now;
     led.cursor = now;
     led.id = id;
     led.tenant = tenantOf(core_id);
     led.opKind = op;
-    return &led;
+    ++numLive;
+    return LedgerRef{slot, s.generation};
 }
 
 void
-AttribCollector::close(PhaseLedger *led, Tick at)
+AttribCollector::release(std::uint32_t slot)
 {
+    Slot &s = slotAt(slot);
+    ++s.generation; // odd (live) -> even (free): outstanding refs go stale
+    s.nextFree = freeHead;
+    freeHead = slot;
+    --numLive;
+}
+
+void
+AttribCollector::close(LedgerRef ref, Tick at)
+{
+    PhaseLedger *led = find(ref);
     if (led == nullptr || led->closed)
         return;
     // Whatever no layer claimed is the residual; conservation tests
@@ -87,13 +110,14 @@ AttribCollector::close(PhaseLedger *led, Tick at)
     led->closed = true;
     led->closedAt = at;
     if (!led->held)
-        sampleInto(*led);
+        sample(ref.slot, *led);
 }
 
 void
-AttribCollector::finishSpec(PhaseLedger *led, Tick now, bool fault)
+AttribCollector::finishSpec(LedgerRef ref, Tick now, bool fault)
 {
-    if (led == nullptr || led->sampled)
+    PhaseLedger *led = find(ref);
+    if (led == nullptr)
         return;
     // Annex accounting past the completion tick: the ledger is closed
     // (account() refuses), so charge the span directly.
@@ -104,17 +128,16 @@ AttribCollector::finishSpec(PhaseLedger *led, Tick now, bool fault)
             now - led->cursor;
         led->cursor = now;
     }
-    sampleInto(*led);
+    sample(ref.slot, *led);
 }
 
 void
-AttribCollector::discard(PhaseLedger *led)
+AttribCollector::discard(LedgerRef ref)
 {
-    if (led == nullptr || led->sampled)
+    if (find(ref) == nullptr)
         return;
-    led->closed = true;
-    led->sampled = true;
     ++numDiscarded;
+    release(ref.slot);
 }
 
 void
@@ -124,17 +147,17 @@ AttribCollector::finalize()
     // tier's wb buffer, requests in flight at the instruction target)
     // never completed; drop them so every histogram sample has a
     // matching completion.
-    for (PhaseLedger &led : ledgers) {
-        if (!led.sampled)
-            discard(&led);
+    for (std::uint32_t slot = 0; slot < slotsUsed; ++slot) {
+        const std::uint32_t gen = slotAt(slot).generation;
+        if (gen % 2 != 0)
+            discard(LedgerRef{slot, gen});
     }
 }
 
 void
-AttribCollector::sampleInto(PhaseLedger &led)
+AttribCollector::sample(std::uint32_t slot, const PhaseLedger &led)
 {
-    pcmap_assert(led.closed && !led.sampled);
-    led.sampled = true;
+    pcmap_assert(led.closed);
     const std::size_t family =
         static_cast<std::size_t>(led.tenant) * kOpCount +
         static_cast<std::size_t>(led.opKind);
@@ -149,6 +172,7 @@ AttribCollector::sampleInto(PhaseLedger &led)
     fam.totalSumTicks += total;
     ++numSampled;
     offerExemplar(led);
+    release(slot);
 }
 
 namespace {

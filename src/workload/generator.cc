@@ -61,31 +61,31 @@ SyntheticGenerator::buildWriteData(std::uint64_t line, MemOp &op)
 
     const auto n_dirty = static_cast<unsigned>(rng.weighted(dirtyWeights));
     if (n_dirty == 0) {
-        lastOffsets.clear();
+        lastCount = 0;
         return; // fully silent store
     }
+    pcmap_assert(n_dirty <= kWordsPerLine);
 
     // Choose the dirty word offsets, optionally repeating the previous
     // write-back's offsets (Section IV-C2's 32% clustering).
-    std::vector<unsigned> offsets;
-    offsets.reserve(n_dirty);
-    if (!lastOffsets.empty() && rng.chance(prof.offsetCorr)) {
-        for (unsigned off : lastOffsets) {
-            if (offsets.size() >= n_dirty)
-                break;
-            offsets.push_back(off);
-        }
+    std::array<unsigned, kWordsPerLine> offsets{};
+    unsigned count = 0;
+    if (lastCount != 0 && rng.chance(prof.offsetCorr)) {
+        count = std::min(lastCount, n_dirty);
+        std::copy_n(lastOffsets.begin(), count, offsets.begin());
     }
-    while (offsets.size() < n_dirty) {
+    while (count < n_dirty) {
         const auto off = static_cast<unsigned>(rng.below(kWordsPerLine));
-        if (std::find(offsets.begin(), offsets.end(), off) ==
-            offsets.end()) {
-            offsets.push_back(off);
+        if (std::find(offsets.begin(), offsets.begin() + count, off) ==
+            offsets.begin() + count) {
+            offsets[count++] = off;
         }
     }
     lastOffsets = offsets;
+    lastCount = count;
 
-    for (unsigned off : offsets) {
+    for (unsigned i = 0; i < count; ++i) {
+        const unsigned off = offsets[i];
         std::uint64_t v = rng.next();
         if (v == old.w[off])
             v ^= 1; // guarantee the word really changes

@@ -19,6 +19,7 @@
 #ifndef PCMAP_WORKLOAD_GENERATOR_H
 #define PCMAP_WORKLOAD_GENERATOR_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -62,7 +63,9 @@ class SyntheticGenerator : public RequestSource
     std::uint64_t cursor;            ///< sequential-run pointer
     std::vector<std::uint64_t> recentReads; ///< eviction candidates
     std::size_t recentPos = 0;
-    std::vector<unsigned> lastOffsets;      ///< previous dirty offsets
+    /** The previous write-back's dirty offsets, first lastCount. */
+    std::array<unsigned, kWordsPerLine> lastOffsets{};
+    unsigned lastCount = 0;
     std::vector<double> dirtyWeights;       ///< cached histogram
     double gapP = 0.5;                      ///< geometric parameter
 };
