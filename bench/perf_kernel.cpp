@@ -1,14 +1,13 @@
 /**
  * @file
- * Microbenchmarks (google-benchmark) of the three simulation-kernel
+ * Microbenchmarks (google-benchmark) of the two simulation-kernel
  * hot structures the hot-path overhaul targets:
  *
  *  - the pooled EventQueue: schedule/fire cycles with controller-sized
  *    captures, deep heaps, and direct-index cancellation;
  *  - the BackingStore page directory: the essentialWords + writeWords
  *    commit pair and read bursts, sequential (MRU page hits) and
- *    strided (directory lookups);
- *  - the stats path: StatGroup::collect over a controller-shaped tree.
+ *    strided (directory lookups).
  *
  * tools/pcmap-perf measures the same structures end to end through a
  * full simulation; these benches isolate each one so a regression can
@@ -22,7 +21,6 @@
 #include "mem/backing_store.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "sim/stats.h"
 
 namespace {
 
@@ -162,57 +160,6 @@ BM_StoreReadSequential(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_StoreReadSequential);
-
-// --------------------------------------------------------------------
-// Stats collection
-// --------------------------------------------------------------------
-
-/** A controller-shaped stat tree: nested groups, mixed stat kinds. */
-struct StatFixture
-{
-    stats::StatGroup root{"system"};
-    std::vector<std::unique_ptr<stats::StatGroup>> groups;
-    std::vector<std::unique_ptr<stats::StatBase>> owned;
-
-    StatFixture()
-    {
-        for (int c = 0; c < 2; ++c) {
-            auto mc = std::make_unique<stats::StatGroup>(
-                "mc" + std::to_string(c));
-            root.addChild(mc.get());
-            for (int g = 0; g < 4; ++g) {
-                auto sub = std::make_unique<stats::StatGroup>(
-                    "bank" + std::to_string(g));
-                mc->addChild(sub.get());
-                for (int s = 0; s < 8; ++s) {
-                    owned.push_back(std::make_unique<stats::Scalar>(
-                        *sub, "ctr" + std::to_string(s), "counter"));
-                    auto avg = std::make_unique<stats::Average>(
-                        *sub, "lat" + std::to_string(s), "latency");
-                    avg->sample(1.0 + s);
-                    owned.push_back(std::move(avg));
-                }
-                groups.push_back(std::move(sub));
-            }
-            groups.push_back(std::move(mc));
-        }
-    }
-};
-
-void
-BM_StatsCollect(benchmark::State &state)
-{
-    StatFixture fx;
-    for (auto _ : state) {
-        stats::FlatStats flat;
-        fx.root.collect(flat);
-        benchmark::DoNotOptimize(flat.size());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(fx.root.flatSize()));
-}
-BENCHMARK(BM_StatsCollect);
 
 } // namespace
 

@@ -24,7 +24,9 @@
  *   alpha      write-drain high watermark      (default 0.8)
  *   wowmerge   max writes per WoW group        (default 8)
  *   faulty     Table IV faulty-system mode     (default false)
- *   multiword  Section IV-B4 multi-word RoW    (default false)
+ *   multiword  Section IV-B4 multi-word RoW    (default false); only
+ *              systems with RoW and without WoW act on it, so a mode
+ *              that runs none of them is a fatal
  *   perbankwq  per-bank 32-entry write queues  (default false)
  *   cancel     write cancellation (baseline only, HPCA'10 comparator)
  *   preset     PreSET fast-RESET writes (baseline only, ISCA'12)
@@ -33,11 +35,14 @@
  *   stats      also dump per-channel gem5-style stats (default false)
  */
 
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
-#include "core/stat_export.h"
 #include "core/system.h"
 #include "sim/config.h"
+#include "sim/log.h"
+#include "sim/stats.h"
 #include "workload/mixes.h"
 
 int
@@ -77,23 +82,34 @@ main(int argc, char **argv)
     cfg.geometry.ranksPerChannel = args.getUnsigned("ranks", 1);
     cfg.geometry.channels = args.getUnsigned("channels", 4);
 
+    std::vector<ControllerPolicy> systems;
+    if (mode_name == "all")
+        systems.assign(std::begin(kPaperSystems), std::end(kPaperSystems));
+    else
+        systems.push_back(ControllerPolicy::require(mode_name, {"all"}));
+    // Only the pass-through coalescer (RoW without WoW) splits
+    // multi-word writes; under any other system the key is a no-op.
+    if (mc.rowMultiWordWrites &&
+        std::none_of(systems.begin(), systems.end(),
+                     [](const ControllerPolicy &p) {
+                         return p.enableRoW && !p.enableWoW;
+                     })) {
+        fatal("multiword=1 acts only on systems with RoW and without "
+              "WoW (RoW-NR, or a composition such as row+rd); mode=",
+              mode_name, " runs none of them");
+    }
+
     const bool dump_stats = args.getBool("stats", false);
-    auto run_one = [&](const ControllerPolicy &system) {
+    for (const ControllerPolicy &system : systems) {
         system.applyTo(mc);
         System sys(cfg,
                    workload::makeWorkload(workload, cfg.numCores));
         dumpResults(sys.run(), std::cout);
         if (dump_stats) {
-            SystemStatExport exporter(sys.memory());
-            exporter.dump(std::cout);
+            stats::Writer writer(std::cout);
+            sys.exportStats(writer);
         }
         std::cout << "\n";
-    };
-    if (mode_name == "all") {
-        for (const ControllerPolicy &system : kPaperSystems)
-            run_one(system);
-        return 0;
     }
-    run_one(ControllerPolicy::require(mode_name, {"all"}));
     return 0;
 }

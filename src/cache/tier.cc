@@ -8,6 +8,7 @@
 #include "obs/attrib.h"
 #include "obs/trace.h"
 #include "sim/log.h"
+#include "sim/stats.h"
 
 namespace pcmap::cache {
 
@@ -532,6 +533,36 @@ CacheTier::flushDirty()
     }
     wbStalled = true; // keep draining across downstream retries
     drainWritebacks();
+}
+
+void
+CacheTier::exportStats(stats::Writer &w) const
+{
+    const TierCounters &c = tierStats;
+    const auto n = [](std::uint64_t v) { return static_cast<double>(v); };
+    const stats::Writer::Scope group(w, "cache");
+    w.scalar("hitRate", c.hitRate(), "tier hit fraction over all accesses");
+    w.scalar("readHits", n(c.readHits), "tier read hits");
+    w.scalar("readMisses", n(c.readMisses), "tier read misses");
+    w.scalar("writeHits", n(c.writeHits),
+             "writes absorbed by a resident line");
+    w.scalar("writeMisses", n(c.writeMisses),
+             "writes installed without a fetch");
+    w.scalar("fills", n(c.fills), "lines fetched from PCM and installed");
+    w.scalar("writebacks", n(c.writebacks),
+             "dirty victims handed to the PCM side");
+    w.scalar("dirtyWordsWrittenBack", n(c.dirtyWordsWrittenBack),
+             "dirty words carried by those victims");
+    w.scalar("mshrMerges", n(c.mshrMerges),
+             "secondary misses merged onto an MSHR");
+    w.scalar("mshrRejects", n(c.mshrRejects),
+             "enqueues refused: MSHR file full");
+    w.scalar("wbRejects", n(c.wbRejects),
+             "enqueues refused: write-back buffer full");
+    w.percentiles("missLatency", c.missLatency, 1e-3,
+                  "read-miss arrival-to-delivery percentiles (ns)");
+    w.percentiles("writebackBatch", c.writebackBatch, 1.0,
+                  "lines handed to PCM per drain burst");
 }
 
 } // namespace pcmap::cache

@@ -42,6 +42,10 @@
 #include "obs/histogram.h"
 #include "sim/event_queue.h"
 
+namespace pcmap::stats {
+class Writer;
+} // namespace pcmap::stats
+
 namespace pcmap::obs {
 class TraceRecorder;
 namespace attrib {
@@ -166,6 +170,8 @@ class CacheTier : public ForwardingPort
     // Introspection (stat export / tests) -----------------------------
     const TierConfig &config() const { return cfg; }
     const TierCounters &counters() const { return tierStats; }
+    /** Write the tier's counters as the "cache." group. */
+    void exportStats(stats::Writer &w) const;
     /** The functional array's own hit/miss/writeback accounting. */
     const CacheLevelStats &arrayStats() const { return array.stats(); }
     std::size_t mshrInUse() const { return mshrs.size(); }

@@ -14,6 +14,7 @@
 #include "obs/attrib.h"
 #include "obs/trace.h"
 #include "sim/log.h"
+#include "sim/stats.h"
 
 namespace pcmap {
 
@@ -75,7 +76,6 @@ MemoryController::enqueueRead(const MemRequest &req, ReadCallback cb)
     for (const WriteEntry &w : writeQ) {
         if (w.line != req_line)
             continue;
-        ++counters.readsEnqueued;
         ++counters.readsForwardedFromWq;
         ReadResponse resp;
         resp.id = req.id;
@@ -99,8 +99,6 @@ MemoryController::enqueueRead(const MemRequest &req, ReadCallback cb)
             const double lat =
                 static_cast<double>(resp.completionTick - enq);
             counters.readLatencySum += lat;
-            counters.readLatencyMax =
-                std::max(counters.readLatencyMax, lat);
             counters.readLatencyHist.sample(resp.completionTick - enq);
             PCMAP_OBS_TRACE(trace, obs::TracePoint::ReadComplete, enq,
                             resp.completionTick - enq, resp.id,
@@ -145,7 +143,6 @@ MemoryController::enqueueRead(const MemRequest &req, ReadCallback cb)
                       readQ.size() + 1, writeQ.size(), channelId);
     }
     readQ.push_back(std::move(entry));
-    ++counters.readsEnqueued;
     scheduleKick(eventq.now());
     return true;
 }
@@ -258,6 +255,71 @@ MemoryController::irlpMaxSeen() const
     for (const IrlpTracker &t : irlpTrackers)
         max_seen = std::max(max_seen, t.maxSeen());
     return max_seen;
+}
+
+void
+MemoryController::exportStats(stats::Writer &w) const
+{
+    const ControllerStats &s = counters;
+    const auto n = [](std::uint64_t v) { return static_cast<double>(v); };
+    std::uint64_t writes = 0;
+    for (const std::uint64_t c : s.essentialHist)
+        writes += c;
+    const stats::Writer::Scope group(w, instName);
+    w.scalar("reads", n(s.readsCompleted), "PCM reads served");
+    w.scalar("readsForwarded", n(s.readsForwardedFromWq),
+             "reads answered from the write queue");
+    w.scalar("readsDelayedByWrite", n(s.readsDelayedByWrite),
+             "reads held up by write service");
+    w.scalar("writes", n(s.writesCompleted), "write-backs committed");
+    w.scalar("writesSilent", n(s.writesSilent),
+             "fully redundant write-backs");
+    w.scalar("writesCoalesced", n(s.writesCoalesced),
+             "write-backs merged in the queue");
+    w.scalar("readLatencyNs", s.avgReadLatencyNs(),
+             "mean effective read latency");
+    w.scalar("essentialWords",
+             writes ? n(s.essentialWordsSum) / n(writes) : 0.0,
+             "mean dirty words per write-back");
+    w.scalar("rowReads", n(s.rowReads),
+             "reads served by PCC reconstruction");
+    w.scalar("eccDeferredReads", n(s.deferredEccReads),
+             "reads with deferred SECDED check");
+    w.scalar("verifies", n(s.verifiesCompleted),
+             "deferred checks completed");
+    w.scalar("faults", n(s.faultsDetected), "deferred checks that failed");
+    w.scalar("twoStepWrites", n(s.twoStepWrites),
+             "one-word writes split for RoW");
+    w.scalar("multiStepWrites", n(s.multiStepWrites),
+             "serialized multi-word RoW writes");
+    w.scalar("wowGroups", n(s.wowGroups), "consolidated write groups");
+    w.scalar("wowMergedWrites", n(s.wowMergedWrites),
+             "writes that joined a group");
+    w.scalar("statusPolls", n(s.statusPolls), "DIMM status-register polls");
+    w.scalar("irlpMean",
+             irlpWindowTicks() > 0.0 ? irlpArea() / irlpWindowTicks() : 0.0,
+             "time-weighted busy chips during writes");
+    w.scalar("energyUj", energyModel.breakdown().totalUj(),
+             "total PCM energy");
+    w.scalar("bitsSet", n(energyModel.bitsSet()), "SET pulses issued");
+    w.scalar("bitsReset", n(energyModel.bitsReset()), "RESET pulses issued");
+    // Latency histograms sample ticks (picoseconds); export ns.
+    w.percentiles("readLatencyHistNs", s.readLatencyHist, 1e-3,
+                  "read latency percentiles");
+    w.percentiles("writeLatencyHistNs", s.writeLatencyHist, 1e-3,
+                  "write commit latency percentiles");
+    w.percentiles("queueResidencyNs", s.queueResidencyHist, 1e-3,
+                  "arrival-to-service percentiles");
+    w.percentiles("writeIrlp", s.writeIrlpHist, 1.0,
+                  "busy data chips per write percentiles");
+    // Multi-round (MLC+) organizations only: the counters stay zero on
+    // SLC, and rows there would perturb the byte-stable org=slc dump.
+    if (cfg.timing.writeRounds > 1) {
+        w.scalar("writeRounds", n(s.writeRoundsIssued),
+                 "MLC+ programming rounds issued");
+        w.scalar("writeRoundPauses", n(s.writeRoundPauses),
+                 "round-boundary pauses for reads");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -69,6 +69,10 @@
 
 namespace pcmap {
 
+namespace stats {
+class Writer;
+} // namespace stats
+
 namespace obs {
 class TraceRecorder;
 namespace attrib {
@@ -152,6 +156,9 @@ class MemoryController
 
     /** Peak concurrent busy data chips across ranks. */
     unsigned irlpMaxSeen() const;
+
+    /** Write this controller's counters as the "<name>." group. */
+    void exportStats(stats::Writer &w) const;
 
     /** Energy accounting for this channel. */
     const EnergyModel &energy() const { return energyModel; }

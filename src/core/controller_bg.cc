@@ -98,7 +98,6 @@ MemoryController::tryIssueBgOps(Tick now)
             start = now;
         } else if (aged) {
             start = free_at; // force foreground after starvation
-            ++counters.bgOpsForced;
             forced = true;
         } else {
             ++i;
@@ -125,7 +124,6 @@ MemoryController::tryIssueBgOps(Tick now)
             pcmap_assert(codeBacklog > 0);
             --codeBacklog;
         }
-        ++counters.bgOpsIssued;
         ++inFlight;
         const BgOp done = op;
         bgOps.erase(bgOps.begin() + static_cast<std::ptrdiff_t>(i));

@@ -68,8 +68,6 @@ MemoryController::issueRead(const ReadPlan &plan)
         ++counters.deferredEccReads;
     if (plan.speculative)
         ++pendingVerifies;
-    if (draining)
-        ++counters.readsIssuedDuringDrain;
     counters.readQueueWaitSum += static_cast<double>(
         plan.start - entry.req.enqueueTick);
     counters.queueResidencyHist.sample(plan.start -
@@ -118,7 +116,6 @@ MemoryController::issueRead(const ReadPlan &plan)
             ++counters.readsDelayedByWrite;
         const double lat = static_cast<double>(done - req.enqueueTick);
         counters.readLatencySum += lat;
-        counters.readLatencyMax = std::max(counters.readLatencyMax, lat);
         counters.readLatencyHist.sample(done - req.enqueueTick);
         if (trace != nullptr) {
             const std::uint64_t flags =

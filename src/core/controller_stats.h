@@ -21,7 +21,6 @@ namespace pcmap {
 /** Aggregate counters exposed by a controller for harvesting. */
 struct ControllerStats
 {
-    std::uint64_t readsEnqueued = 0;
     std::uint64_t readsCompleted = 0;
     std::uint64_t readsForwardedFromWq = 0;
     std::uint64_t readsDelayedByWrite = 0;
@@ -34,9 +33,7 @@ struct ControllerStats
     std::uint64_t writesRejected = 0;
 
     double readLatencySum = 0.0;  ///< ticks, completion - enqueue
-    double readLatencyMax = 0.0;
     double readQueueWaitSum = 0.0; ///< ticks, issue-start - enqueue
-    std::uint64_t readsIssuedDuringDrain = 0;
 
     std::uint64_t essentialWordsSum = 0;
     std::uint64_t essentialHist[kWordsPerLine + 1] = {};
@@ -53,9 +50,6 @@ struct ControllerStats
     std::uint64_t presetWrites = 0;    ///< writes served RESET-only
     std::uint64_t wowGroups = 0;       ///< write groups with >= 2 writes
     std::uint64_t wowMergedWrites = 0; ///< writes that joined a group
-    std::uint64_t wowGroupSizeSum = 0;
-    std::uint64_t bgOpsIssued = 0;
-    std::uint64_t bgOpsForced = 0;     ///< aged out and issued foreground
     std::uint64_t statusPolls = 0;
 
     // Multi-round (MLC+) write programming.  Both stay zero for

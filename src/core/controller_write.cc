@@ -455,7 +455,6 @@ MemoryController::tryIssueWrites(Tick now, Tick &earliest)
         ++counters.wowGroups;
         counters.wowMergedWrites += group.size() - 1;
     }
-    counters.wowGroupSizeSum += group.size();
     // Conservative estimate covering the whole round train; chained
     // rounds raise it if pauses push the tail out, so no second group
     // can grab the rank's write slot mid-chain.

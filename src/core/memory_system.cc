@@ -1,6 +1,7 @@
 #include "core/memory_system.h"
 
 #include "sim/log.h"
+#include "sim/stats.h"
 
 namespace pcmap {
 
@@ -65,6 +66,14 @@ MainMemory::finalize(Tick end_of_sim)
 {
     for (auto &mc : controllers)
         mc->finalize(end_of_sim);
+}
+
+void
+MainMemory::exportStats(stats::Writer &w) const
+{
+    const stats::Writer::Scope pcm(w, "pcm");
+    for (const auto &mc : controllers)
+        mc->exportStats(w);
 }
 
 } // namespace pcmap

@@ -84,6 +84,9 @@ class MainMemory : public MemoryPort
     /** Close time-integrated statistics on all controllers. */
     void finalize(Tick end_of_sim);
 
+    /** Write every controller's counters as the "pcm." group. */
+    void exportStats(stats::Writer &w) const;
+
     /** Sum of a stat across controllers, via a member projection. */
     template <typename Fn>
     double

@@ -9,6 +9,7 @@
 #include "fabric/tenant.h"
 #include "obs/observer.h"
 #include "sim/log.h"
+#include "sim/stats.h"
 #include "workload/profile.h"
 
 namespace pcmap {
@@ -343,7 +344,6 @@ System::run()
         res.writeRoundPauses += s.writeRoundPauses;
         delayed += s.readsDelayedByWrite;
         lat_weighted += s.readLatencySum;
-        res.readsIssuedDuringDrain += s.readsIssuedDuringDrain;
         res.avgReadQueueWaitNs += s.readQueueWaitSum;
         essential_sum += s.essentialWordsSum;
         for (unsigned i = 0; i <= 8; ++i) {
@@ -355,7 +355,6 @@ System::run()
         const EnergyBreakdown &eb =
             mem->controller(ch).energy().breakdown();
         res.energyUj += eb.totalUj();
-        res.energyArrayReadUj += eb.arrayReadPj * 1e-6;
         res.energySetUj += eb.setPj * 1e-6;
         res.energyResetUj += eb.resetPj * 1e-6;
         res.bitsSet += mem->controller(ch).energy().bitsSet();
@@ -426,6 +425,20 @@ System::run()
     res.hostEventsExecuted = eventq.counters().eventsExecuted;
     res.hostScheduleCalls = eventq.counters().scheduleCalls;
     return res;
+}
+
+void
+System::exportStats(stats::Writer &w) const
+{
+    mem->exportStats(w);
+    if (link)
+        link->exportStats(w, eventq.now());
+    if (tier)
+        tier->exportStats(w);
+    if (obsRun != nullptr) {
+        if (const auto *col = obsRun->attribCollector())
+            col->exportStats(w);
+    }
 }
 
 SystemResults

@@ -31,6 +31,10 @@ namespace obs {
 class RunObserver;
 } // namespace obs
 
+namespace stats {
+class Writer;
+} // namespace stats
+
 namespace fabric {
 class LinkModel;
 class TenantStream;
@@ -112,7 +116,6 @@ struct SystemResults
     std::uint64_t twoStepWrites = 0;
     std::uint64_t wowGroups = 0;
     std::uint64_t wowMergedWrites = 0;
-    std::uint64_t readsIssuedDuringDrain = 0;
     double avgReadQueueWaitNs = 0.0;
 
     // Multi-round (MLC+) write programming; both zero on single-round
@@ -133,7 +136,6 @@ struct SystemResults
 
     // --- Energy (microjoules) and endurance ---
     double energyUj = 0.0;
-    double energyArrayReadUj = 0.0;
     double energySetUj = 0.0;
     double energyResetUj = 0.0;
     std::uint64_t bitsSet = 0;
@@ -174,6 +176,13 @@ class System
 
     /** Run to completion and harvest metrics. */
     SystemResults run();
+
+    /**
+     * Write every layer's counters after run(), in row order: the
+     * "pcm." group, then "fabric.", "cache." and "attrib." when the
+     * run built a fabric, a tier or an attribution collector.
+     */
+    void exportStats(stats::Writer &w) const;
 
     MainMemory &memory() { return *mem; }
     EventQueue &eventQueue() { return eventq; }

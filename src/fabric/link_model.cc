@@ -6,6 +6,7 @@
 #include "obs/attrib.h"
 #include "obs/trace.h"
 #include "sim/log.h"
+#include "sim/stats.h"
 
 namespace pcmap::fabric {
 
@@ -302,6 +303,53 @@ LinkModel::pump()
     // loop so a re-entrant enqueue never interleaves with it.
     if (freed_full_queue && upstreamRetry)
         upstreamRetry();
+}
+
+void
+LinkModel::exportStats(stats::Writer &w, Tick sim_ticks) const
+{
+    const auto n = [](std::uint64_t v) { return static_cast<double>(v); };
+    // Jain's index leads the group but needs every tenant's throughput
+    // (completed requests per microsecond), so those come first.
+    std::vector<double> tputs;
+    tputs.reserve(tenants.size());
+    for (const TenantCounters &c : tenants) {
+        const double done = n(c.readsCompleted) + n(c.writesCommitted);
+        tputs.push_back(sim_ticks > 0
+                            ? done / (static_cast<double>(sim_ticks) * 1e-6)
+                            : 0.0);
+    }
+    const stats::Writer::Scope group(w, "fabric");
+    w.scalar("jainIndex", jainIndex(tputs),
+             "Jain fairness index of tenant throughputs");
+    w.scalar("linkUtilization",
+             sim_ticks > 0 ? static_cast<double>(linkBusyTicks) /
+                                 static_cast<double>(sim_ticks)
+                           : 0.0,
+             "fraction of sim time the link serialized");
+    for (unsigned t = 0; t < tenants.size(); ++t) {
+        const TenantCounters &c = tenants[t];
+        const stats::Writer::Scope tenant(w, "tenant", t);
+        w.percentiles("read", c.readTotal, 1e-3,
+                      "fabric read latency percentiles (ns)");
+        w.percentiles("linkWait", c.linkWait, 1e-3,
+                      "arrival-to-link-grant percentiles (ns)");
+        w.percentiles("device", c.deviceRead, 1e-3,
+                      "link-handoff-to-completion percentiles (ns)");
+        w.percentiles("write", c.writeDevice, 1e-3,
+                      "write enqueue-to-commit percentiles (ns)");
+        w.scalar("readsAccepted", n(c.readsAccepted),
+                 "reads the fabric accepted");
+        w.scalar("writesAccepted", n(c.writesAccepted),
+                 "writes the fabric accepted");
+        w.scalar("readsCompleted", n(c.readsCompleted), "reads completed");
+        w.scalar("writesCommitted", n(c.writesCommitted),
+                 "write-backs committed to the array");
+        w.scalar("rejected", n(c.rejected),
+                 "enqueue attempts refused (queue full)");
+        w.scalar("throughputMops", tputs[t],
+                 "completed requests per microsecond");
+    }
 }
 
 } // namespace pcmap::fabric

@@ -39,6 +39,10 @@
 #include "obs/histogram.h"
 #include "sim/event_queue.h"
 
+namespace pcmap::stats {
+class Writer;
+} // namespace pcmap::stats
+
 namespace pcmap::obs {
 class TraceRecorder;
 namespace attrib {
@@ -122,6 +126,14 @@ class LinkModel : public ForwardingPort
     Tick busyTicks() const { return linkBusyTicks; }
     /** True when the link adds no timing (pure accounting). */
     bool bypass() const { return passThrough; }
+
+    /**
+     * Write the fabric's counters as the "fabric." group: Jain's
+     * fairness index and the link utilization, then one "tenant<T>."
+     * group per tenant.  @p sim_ticks is the run length, for
+     * throughput and utilization.
+     */
+    void exportStats(stats::Writer &w, Tick sim_ticks) const;
 
   private:
     struct Pending

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "sim/log.h"
+#include "sim/stats.h"
 
 namespace pcmap::obs::attrib {
 
@@ -224,6 +225,45 @@ AttribCollector::exemplars() const
     std::vector<TailExemplar> out = reservoir;
     std::sort(out.begin(), out.end(), slowerThan);
     return out;
+}
+
+void
+AttribCollector::exportStats(stats::Writer &w) const
+{
+    const stats::Writer::Scope group(w, "attrib");
+    for (unsigned t = 0; t < tenantCount; ++t) {
+        const auto sampled = [&](std::size_t o) {
+            return hists(t, static_cast<AttribOp>(o)).total.samples() > 0;
+        };
+        bool any = false;
+        for (std::size_t o = 0; o < kOpCount; ++o)
+            any = any || sampled(o);
+        if (!any)
+            continue;
+        const stats::Writer::Scope tenant(w, "t", t);
+        for (std::size_t o = 0; o < kOpCount; ++o) {
+            if (!sampled(o))
+                continue;
+            const auto op = static_cast<AttribOp>(o);
+            const PhaseHists &fam = hists(t, op);
+            const stats::Writer::Scope family(w, attribOpName(op));
+            for (std::size_t p = 0; p < kPhaseCount; ++p) {
+                const std::string name = phaseName(static_cast<Phase>(p));
+                w.percentiles(name, fam.phase[p], 1e-3,
+                              name + " phase latency share (ns)");
+                w.scalar(name + "SumNs",
+                         static_cast<double>(fam.sumTicks[p]) * 1e-3,
+                         "exact " + name +
+                             " ticks summed over all requests (ns)");
+            }
+            w.percentiles("total", fam.total, 1e-3,
+                          "enqueue-to-completion latency (ns)");
+            w.scalar("totalSumNs",
+                     static_cast<double>(fam.totalSumTicks) * 1e-3,
+                     "exact completion latency summed over all requests "
+                     "(ns)");
+        }
+    }
 }
 
 namespace {

@@ -51,6 +51,10 @@
 #include "obs/ledger_ref.h"
 #include "sim/types.h"
 
+namespace pcmap::stats {
+class Writer;
+} // namespace pcmap::stats
+
 namespace pcmap::obs::attrib {
 
 /** Where one slice of a request's latency was spent. */
@@ -263,6 +267,15 @@ class AttribCollector
         return families[tenant * kOpCount +
                         static_cast<std::size_t>(op)];
     }
+
+    /**
+     * Write the histograms as the "attrib." group: one "t<T>." group
+     * per tenant and one "<op>." group per (tenant, op) family, each
+     * with a percentile summary and an exact sum (ns) per phase and
+     * for the total.  Only families that sampled a request appear, so
+     * the key set depends on simulation results alone.
+     */
+    void exportStats(stats::Writer &w) const;
 
     /** Exemplars, slowest first (deterministic total/start/id order). */
     std::vector<TailExemplar> exemplars() const;

@@ -1,311 +1,82 @@
 #include "sim/stats.h"
 
-#include <cmath>
+#include <charconv>
 #include <iomanip>
 #include <ostream>
 
+#include "obs/histogram.h"
+
 namespace pcmap::stats {
 
-StatBase::StatBase(StatGroup &group, std::string name, std::string desc)
-    : statName(std::move(name)), statDesc(std::move(desc))
+Writer::Writer(FlatStats &out) : flat(&out)
 {
-    group.addStat(this);
+    path.reserve(64);
 }
 
-namespace {
-
-/**
- * Reusable "prefix + name [+ suffix]" key builder: one buffer serves
- * every suffixed variant of a stat's dotted name, so multi-valued
- * kinds don't chain fresh string concatenations per value.
- */
-class KeyScratch
+Writer::Writer(std::ostream &stream) : os(&stream)
 {
-  public:
-    KeyScratch(const std::string &prefix, const std::string &name)
-    {
-        buf.reserve(prefix.size() + name.size() + 16);
-        buf = prefix;
-        buf += name;
-        stem = buf.size();
+    path.reserve(64);
+}
+
+Writer::Scope::Scope(Writer &w, std::string_view name)
+    : writer(w), base(w.path.size())
+{
+    writer.path += name;
+    writer.path += '.';
+}
+
+Writer::Scope::Scope(Writer &w, std::string_view name, unsigned index)
+    : writer(w), base(w.path.size())
+{
+    char digits[16];
+    const auto res = std::to_chars(digits, digits + sizeof(digits), index);
+    writer.path += name;
+    writer.path.append(digits, res.ptr);
+    writer.path += '.';
+}
+
+void
+Writer::emit(double value, std::string_view desc)
+{
+    if (flat != nullptr) {
+        flat->emplace_back(path, value);
+        return;
     }
-
-    /** The bare dotted name. */
-    const std::string &bare() const { return buf; }
-
-    /** The dotted name with @p suffix appended (e.g. ".mean"). */
-    const std::string &
-    with(const char *suffix)
-    {
-        buf.resize(stem);
-        buf += suffix;
-        return buf;
-    }
-
-    /** The dotted name with ".bucket<i>" appended. */
-    const std::string &
-    withBucket(std::size_t i)
-    {
-        buf.resize(stem);
-        buf += ".bucket";
-        buf += std::to_string(i);
-        return buf;
-    }
-
-  private:
-    std::string buf;
-    std::size_t stem;
-};
-
-void
-emit(std::ostream &os, const std::string &key, double value,
-     const std::string &desc)
-{
-    os << std::left << std::setw(48) << key << " "
-       << std::right << std::setw(16) << std::setprecision(6) << value
-       << "  # " << desc << "\n";
-}
-
-} // namespace
-
-void
-Scalar::dump(std::ostream &os, const std::string &prefix) const
-{
-    KeyScratch key(prefix, name());
-    emit(os, key.bare(), total, description());
+    *os << std::left << std::setw(48) << path << " " << std::right
+        << std::setw(16) << std::setprecision(6) << value << "  # "
+        << desc << "\n";
 }
 
 void
-Scalar::collect(FlatStats &out, const std::string &prefix) const
-{
-    KeyScratch key(prefix, name());
-    out.emplace_back(key.bare(), total);
-}
-
-void
-Average::dump(std::ostream &os, const std::string &prefix) const
-{
-    KeyScratch key(prefix, name());
-    emit(os, key.with(".mean"), mean(), description());
-    emit(os, key.with(".samples"), static_cast<double>(count),
-         description());
-}
-
-void
-Average::collect(FlatStats &out, const std::string &prefix) const
-{
-    KeyScratch key(prefix, name());
-    out.emplace_back(key.with(".mean"), mean());
-    out.emplace_back(key.with(".samples"), static_cast<double>(count));
-}
-
-Distribution::Distribution(StatGroup &group, std::string name,
-                           std::string desc, double lo, double hi,
-                           double bucket_size)
-    : StatBase(group, std::move(name), std::move(desc)),
-      low(lo), high(hi), width(bucket_size)
-{
-    pcmap_assert(hi > lo && bucket_size > 0.0);
-    const auto n = static_cast<std::size_t>(
-        std::ceil((hi - lo) / bucket_size));
-    buckets.assign(n, 0);
-}
-
-void
-Distribution::sample(double v)
-{
-    if (count == 0) {
-        minValue = maxValue = v;
-    } else {
-        minValue = std::min(minValue, v);
-        maxValue = std::max(maxValue, v);
-    }
-    ++count;
-    sum += v;
-    if (v < low) {
-        ++underflow;
-    } else if (v >= high) {
-        ++overflow;
-    } else {
-        auto idx = static_cast<std::size_t>((v - low) / width);
-        if (idx >= buckets.size())
-            idx = buckets.size() - 1;
-        ++buckets[idx];
-    }
-}
-
-void
-Distribution::dump(std::ostream &os, const std::string &prefix) const
-{
-    KeyScratch key(prefix, name());
-    emit(os, key.with(".mean"), mean(), description());
-    emit(os, key.with(".min"), count ? minValue : 0.0, description());
-    emit(os, key.with(".max"), count ? maxValue : 0.0, description());
-    emit(os, key.with(".samples"), static_cast<double>(count),
-         description());
-    emit(os, key.with(".underflow"), static_cast<double>(underflow),
-         description());
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-        emit(os, key.withBucket(i), static_cast<double>(buckets[i]),
-             description());
-    }
-    emit(os, key.with(".overflow"), static_cast<double>(overflow),
-         description());
-}
-
-void
-Distribution::collect(FlatStats &out, const std::string &prefix) const
-{
-    KeyScratch key(prefix, name());
-    out.emplace_back(key.with(".mean"), mean());
-    out.emplace_back(key.with(".min"), count ? minValue : 0.0);
-    out.emplace_back(key.with(".max"), count ? maxValue : 0.0);
-    out.emplace_back(key.with(".samples"), static_cast<double>(count));
-    out.emplace_back(key.with(".underflow"),
-                     static_cast<double>(underflow));
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-        out.emplace_back(key.withBucket(i),
-                         static_cast<double>(buckets[i]));
-    }
-    out.emplace_back(key.with(".overflow"),
-                     static_cast<double>(overflow));
-}
-
-void
-Distribution::reset()
-{
-    std::fill(buckets.begin(), buckets.end(), 0);
-    underflow = overflow = count = 0;
-    sum = minValue = maxValue = 0.0;
-}
-
-void
-TimeWeighted::dump(std::ostream &os, const std::string &prefix) const
-{
-    KeyScratch key(prefix, name());
-    emit(os, key.with(".timeMean"), mean(), description());
-    emit(os, key.with(".max"), maxValue, description());
-}
-
-void
-TimeWeighted::collect(FlatStats &out, const std::string &prefix) const
-{
-    KeyScratch key(prefix, name());
-    out.emplace_back(key.with(".timeMean"), mean());
-    out.emplace_back(key.with(".max"), maxValue);
-}
-
-void
-Percentiles::dump(std::ostream &os, const std::string &prefix) const
-{
-    KeyScratch key(prefix, name());
-    emit(os, key.with(".p50"), vals.p50, description());
-    emit(os, key.with(".p90"), vals.p90, description());
-    emit(os, key.with(".p99"), vals.p99, description());
-    emit(os, key.with(".p999"), vals.p999, description());
-    emit(os, key.with(".max"), vals.max, description());
-    emit(os, key.with(".mean"), vals.mean, description());
-    emit(os, key.with(".samples"), vals.samples, description());
-}
-
-void
-Percentiles::collect(FlatStats &out, const std::string &prefix) const
-{
-    KeyScratch key(prefix, name());
-    out.emplace_back(key.with(".p50"), vals.p50);
-    out.emplace_back(key.with(".p90"), vals.p90);
-    out.emplace_back(key.with(".p99"), vals.p99);
-    out.emplace_back(key.with(".p999"), vals.p999);
-    out.emplace_back(key.with(".max"), vals.max);
-    out.emplace_back(key.with(".mean"), vals.mean);
-    out.emplace_back(key.with(".samples"), vals.samples);
-}
-
-void
-StatGroup::dump(std::ostream &os, const std::string &prefix) const
-{
-    std::string path;
-    path.reserve(prefix.size() + 64);
-    path = prefix;
-    dumpInto(os, path);
-}
-
-void
-StatGroup::dumpInto(std::ostream &os, std::string &path) const
+Writer::scalar(std::string_view name, double value, std::string_view desc)
 {
     const std::size_t base = path.size();
-    if (!groupName.empty()) {
-        path += groupName;
-        path += '.';
-    }
-    for (const StatBase *s : statList)
-        s->dump(os, path);
-    for (const StatGroup *g : children)
-        g->dumpInto(os, path);
+    path += name;
+    emit(value, desc);
     path.resize(base);
 }
 
 void
-StatGroup::collect(FlatStats &out, const std::string &prefix) const
+Writer::percentiles(std::string_view name, const obs::LogHistogram &h,
+                    double scale, std::string_view desc)
 {
-    out.reserve(out.size() + flatSize());
-    std::string path;
-    path.reserve(prefix.size() + 64);
-    path = prefix;
-    collectInto(out, path);
-}
-
-void
-StatGroup::collectInto(FlatStats &out, std::string &path) const
-{
+    const obs::LogHistogram::Summary s = h.summary();
     const std::size_t base = path.size();
-    if (!groupName.empty()) {
-        path += groupName;
-        path += '.';
-    }
-    for (const StatBase *s : statList)
-        s->collect(out, path);
-    for (const StatGroup *g : children)
-        g->collectInto(out, path);
+    path += name;
+    const std::size_t stem = path.size();
+    const auto put = [&](const char *suffix, double value) {
+        path.resize(stem);
+        path += suffix;
+        emit(value, desc);
+    };
+    put(".p50", s.p50 * scale);
+    put(".p90", s.p90 * scale);
+    put(".p99", s.p99 * scale);
+    put(".p999", s.p999 * scale);
+    put(".max", s.max * scale);
+    put(".mean", s.mean * scale);
+    put(".samples", static_cast<double>(s.samples));
     path.resize(base);
-}
-
-std::size_t
-StatGroup::flatSize() const
-{
-    std::size_t n = 0;
-    for (const StatBase *s : statList)
-        n += s->flatSize();
-    for (const StatGroup *g : children)
-        n += g->flatSize();
-    return n;
-}
-
-FlatStats
-StatGroup::flattened() const
-{
-    FlatStats out;
-    collect(out);
-    return out;
-}
-
-void
-StatGroup::resetAll()
-{
-    for (StatBase *s : statList)
-        s->reset();
-    for (StatGroup *g : children)
-        g->resetAll();
-}
-
-const StatBase *
-StatGroup::find(const std::string &name) const
-{
-    for (const StatBase *s : statList) {
-        if (s->name() == name)
-            return s;
-    }
-    return nullptr;
 }
 
 } // namespace pcmap::stats

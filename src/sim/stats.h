@@ -1,303 +1,84 @@
 /**
  * @file
- * A small statistics package in the spirit of the gem5 Stats framework.
- *
- * Statistics register themselves with a StatGroup; groups can be nested
- * and dumped as a flat name-value listing.  Available kinds:
- *
- *  - Scalar      : a running counter / value
- *  - Average     : running mean of samples
- *  - Distribution: bucketed histogram with min/max/mean
- *  - TimeWeighted: value integrated over simulated time
- *  - Percentiles : refreshed p50/p90/p99/p99.9/max/mean/samples summary
+ * The stat writer.  Each layer keeps its counters as plain fields and
+ * exports them through one exportStats(stats::Writer &) next to them;
+ * the writer names each value by a dotted path and either appends it
+ * to a FlatStats listing (collect) or prints it as a
+ * "name value  # description" line (dump).  There are no stat objects:
+ * every key is written once, straight from the live counter, in the
+ * order it appears in the output.
  */
 
 #ifndef PCMAP_SIM_STATS_H
 #define PCMAP_SIM_STATS_H
 
-#include <algorithm>
-#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "sim/log.h"
-#include "sim/types.h"
+namespace pcmap::obs {
+class LogHistogram;
+} // namespace pcmap::obs
 
 namespace pcmap::stats {
 
-class StatGroup;
-
-/** A flattened "dotted.name -> value" view of a stat tree. */
+/** A flattened "dotted.name -> value" stat listing. */
 using FlatStats = std::vector<std::pair<std::string, double>>;
 
-/** Base class for all statistics; registers with its group. */
-class StatBase
+/** Names and writes stat values into a FlatStats or a text stream. */
+class Writer
 {
   public:
-    StatBase(StatGroup &group, std::string name, std::string desc);
-    virtual ~StatBase() = default;
-
-    StatBase(const StatBase &) = delete;
-    StatBase &operator=(const StatBase &) = delete;
-
-    const std::string &name() const { return statName; }
-    const std::string &description() const { return statDesc; }
-
-    /** Write "name value # desc" lines to @p os with @p prefix. */
-    virtual void dump(std::ostream &os,
-                      const std::string &prefix) const = 0;
+    /** Collect: append each (dotted.name, value) pair to @p out. */
+    explicit Writer(FlatStats &out);
+    /** Dump: write each value as one text line to @p os. */
+    explicit Writer(std::ostream &os);
 
     /**
-     * Append this stat's values to @p out as (prefix+name, value)
-     * pairs, using the same naming as dump() (so ".mean"/".samples"
-     * suffixes appear for multi-valued kinds).  Machine-readable twin
-     * of dump() for exporters (JSONL/CSV sweep aggregation).
+     * A named group: while it lives, every name written through the
+     * writer carries "name." (or "name<index>.") in front.  Scopes
+     * nest and must close in reverse order of opening.
      */
-    virtual void collect(FlatStats &out,
-                         const std::string &prefix) const = 0;
-
-    /** Number of (name, value) pairs collect() appends. */
-    virtual std::size_t flatSize() const = 0;
-
-    /** Reset to the just-constructed state. */
-    virtual void reset() = 0;
-
-  private:
-    std::string statName;
-    std::string statDesc;
-};
-
-/** A running counter or gauge. */
-class Scalar : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    Scalar &operator+=(double v) { total += v; return *this; }
-    Scalar &operator++() { total += 1.0; return *this; }
-    void set(double v) { total = v; }
-    double value() const { return total; }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void collect(FlatStats &out,
-                 const std::string &prefix) const override;
-    std::size_t flatSize() const override { return 1; }
-    void reset() override { total = 0.0; }
-
-  private:
-    double total = 0.0;
-};
-
-/** Running mean over discrete samples. */
-class Average : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    void
-    sample(double v)
+    class Scope
     {
-        sum += v;
-        ++count;
-    }
+      public:
+        Scope(Writer &w, std::string_view name);
+        Scope(Writer &w, std::string_view name, unsigned index);
+        ~Scope() { writer.path.resize(base); }
 
-    double mean() const { return count ? sum / count : 0.0; }
-    std::uint64_t samples() const { return count; }
-    double total() const { return sum; }
+        Scope(const Scope &) = delete;
+        Scope &operator=(const Scope &) = delete;
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void collect(FlatStats &out,
-                 const std::string &prefix) const override;
-    std::size_t flatSize() const override { return 2; }
-    void reset() override { sum = 0.0; count = 0; }
-
-  private:
-    double sum = 0.0;
-    std::uint64_t count = 0;
-};
-
-/** Fixed-bucket histogram with overflow/underflow and summary moments. */
-class Distribution : public StatBase
-{
-  public:
-    /**
-     * @param lo          Lowest bucketed value (inclusive).
-     * @param hi          Highest bucketed value (exclusive).
-     * @param bucket_size Width of each bucket.
-     */
-    Distribution(StatGroup &group, std::string name, std::string desc,
-                 double lo, double hi, double bucket_size);
-
-    void sample(double v);
-
-    std::uint64_t samples() const { return count; }
-    double mean() const { return count ? sum / count : 0.0; }
-    double minSeen() const { return minValue; }
-    double maxSeen() const { return maxValue; }
-    std::uint64_t bucketCount(std::size_t i) const { return buckets[i]; }
-    std::size_t numBuckets() const { return buckets.size(); }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void collect(FlatStats &out,
-                 const std::string &prefix) const override;
-    std::size_t flatSize() const override { return 6 + buckets.size(); }
-    void reset() override;
-
-  private:
-    double low;
-    double high;
-    double width;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t underflow = 0;
-    std::uint64_t overflow = 0;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double minValue = 0.0;
-    double maxValue = 0.0;
-};
-
-/**
- * A value integrated over simulated time (for utilization-style
- * metrics such as IRLP).  Call update(now, v) whenever the tracked
- * value changes; mean() gives the time-weighted average between the
- * first and the last update.
- */
-class TimeWeighted : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    /** Record that the tracked value becomes @p v at time @p now. */
-    void
-    update(Tick now, double v)
-    {
-        if (hasValue) {
-            pcmap_assert(now >= lastTick);
-            area += current * static_cast<double>(now - lastTick);
-            span += static_cast<double>(now - lastTick);
-        } else {
-            hasValue = true;
-        }
-        lastTick = now;
-        current = v;
-        maxValue = std::max(maxValue, v);
-    }
-
-    /** Close the integration window at @p now without changing value. */
-    void finish(Tick now) { update(now, current); }
-
-    double mean() const { return span > 0.0 ? area / span : 0.0; }
-    double maxSeen() const { return maxValue; }
-    double observedSpan() const { return span; }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void collect(FlatStats &out,
-                 const std::string &prefix) const override;
-    std::size_t flatSize() const override { return 2; }
-
-    void
-    reset() override
-    {
-        area = span = current = maxValue = 0.0;
-        lastTick = 0;
-        hasValue = false;
-    }
-
-  private:
-    double area = 0.0;
-    double span = 0.0;
-    double current = 0.0;
-    double maxValue = 0.0;
-    Tick lastTick = 0;
-    bool hasValue = false;
-};
-
-/**
- * A percentile summary of an externally maintained histogram (e.g.
- * obs::LogHistogram).  The owner refreshes the seven values before
- * each dump/collect; this class only names and exports them, keeping
- * the stats package independent of any histogram implementation.
- */
-class Percentiles : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    /** One refreshed summary value per exported key. */
-    struct Values
-    {
-        double p50 = 0.0;
-        double p90 = 0.0;
-        double p99 = 0.0;
-        double p999 = 0.0;
-        double max = 0.0;
-        double mean = 0.0;
-        double samples = 0.0;
+      private:
+        Writer &writer;
+        std::size_t base;
     };
 
-    void set(const Values &v) { vals = v; }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void collect(FlatStats &out,
-                 const std::string &prefix) const override;
-    std::size_t flatSize() const override { return 7; }
-    void reset() override { vals = Values{}; }
-
-  private:
-    Values vals;
-};
-
-/** A named collection of statistics, possibly with child groups. */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : groupName(std::move(name)) {}
-
-    StatGroup(const StatGroup &) = delete;
-    StatGroup &operator=(const StatGroup &) = delete;
-
-    const std::string &name() const { return groupName; }
-
-    /** Register a statistic (called by StatBase's constructor). */
-    void addStat(StatBase *stat) { statList.push_back(stat); }
-
-    /** Attach a child group; lifetime managed by the caller. */
-    void addChild(StatGroup *child) { children.push_back(child); }
-
-    /** Dump all stats, prefixing names with the group path. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
+    /** One value under @p name. */
+    void scalar(std::string_view name, double value,
+                std::string_view desc);
 
     /**
-     * Flatten the whole tree into (dotted.name, value) pairs, in
-     * registration order (deterministic for a given construction
-     * sequence).  Mirrors dump()'s naming exactly.
+     * The percentile summary of @p h as seven keys, name.p50, .p90,
+     * .p99, .p999, .max, .mean and .samples.  Every value but the
+     * sample count is multiplied by @p scale (1e-3 exports a tick
+     * histogram in ns).
      */
-    void collect(FlatStats &out, const std::string &prefix = "") const;
-
-    /** Total (name, value) pairs this group and its children flatten to. */
-    std::size_t flatSize() const;
-
-    /** Convenience: collect() into a fresh vector. */
-    FlatStats flattened() const;
-
-    /** Reset all stats in this group and its children. */
-    void resetAll();
-
-    /** Find a stat by exact name in this group only (nullptr if none). */
-    const StatBase *find(const std::string &name) const;
+    void percentiles(std::string_view name, const obs::LogHistogram &h,
+                     double scale, std::string_view desc);
 
   private:
-    // The tree walks thread one growing dotted-path scratch through
-    // the recursion (append here, restore on return) so a deep tree
-    // costs no per-group string concatenations.
-    void dumpInto(std::ostream &os, std::string &path) const;
-    void collectInto(FlatStats &out, std::string &path) const;
+    /** Write @p value under the current path. */
+    void emit(double value, std::string_view desc);
 
-    std::string groupName;
-    std::vector<StatBase *> statList;
-    std::vector<StatGroup *> children;
+    // One growing dotted-path buffer: scopes and keys append to it and
+    // restore it on the way out, so a key costs no concatenation
+    // chain, only the copy a collected pair keeps.
+    std::string path;
+    FlatStats *flat = nullptr;
+    std::ostream *os = nullptr;
 };
 
 } // namespace pcmap::stats

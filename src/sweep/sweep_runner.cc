@@ -6,11 +6,7 @@
 #include <mutex>
 #include <thread>
 
-#include "cache/tier_stats.h"
-#include "core/stat_export.h"
-#include "fabric/fabric_stats.h"
 #include "obs/attrib.h"
-#include "obs/attrib_stats.h"
 #include "obs/observer.h"
 #include "obs/trace.h"
 #include "sim/log.h"
@@ -61,31 +57,11 @@ SweepRunner::SweepRunner(Options options) : opts(std::move(options))
         const obs::attrib::AttribCollector *attrib =
             ob != nullptr ? ob->attribCollector() : nullptr;
         if (collect_stats) {
-            SystemStatExport exporter(sys.memory());
-            exporter.refresh();
-            rec.stats = exporter.root().flattened();
-            // Per-tenant fabric stats ride the same flat listing;
-            // absent entirely when the fabric is off, so legacy rows
-            // keep their exact column set.
-            if (sys.fabricLink() != nullptr) {
-                fabric::FabricStatExport fex(*sys.fabricLink());
-                fex.refresh(rec.results.simTicks);
-                fex.root().collect(rec.stats);
-            }
-            // Cache-tier stats follow the same rule: tier=none rows
-            // carry no cache.* keys at all.
-            if (sys.cacheTier() != nullptr) {
-                cache::CacheStatExport cex(*sys.cacheTier());
-                cex.refresh();
-                cex.root().collect(rec.stats);
-            }
-            // Latency-attribution stats again follow the rule:
-            // attrib-off rows carry no attrib.* keys at all.
-            if (attrib != nullptr) {
-                obs::AttribStatExport aex(*attrib);
-                aex.refresh();
-                aex.root().collect(rec.stats);
-            }
+            // fabric.*, cache.* and attrib.* keys exist only on runs
+            // that built that layer, so legacy rows keep their exact
+            // column set.
+            stats::Writer writer(rec.stats);
+            sys.exportStats(writer);
         }
         if (ob != nullptr && !obs_prefix.empty()) {
             const std::string base =

@@ -32,7 +32,7 @@ struct RunRecord
     std::string error;
     /** Harvested metrics (valid when ok). */
     SystemResults results{};
-    /** Flattened SystemStatExport counters (valid when ok). */
+    /** Flattened System::exportStats listing (valid when ok). */
     stats::FlatStats stats;
     /** Wall-clock cost of this run; informational only — never part
      *  of the stable serialized output. */
@@ -61,7 +61,7 @@ class SweepRunner
     {
         /** Worker threads; 0 or 1 runs inline on the caller. */
         unsigned threads = 1;
-        /** Also export the full SystemStatExport counter listing. */
+        /** Also collect the full System::exportStats listing. */
         bool collectStats = true;
         /**
          * Per-run observability (tracing / epoch timeline).  Applied

@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "cache/tier.h"
-#include "core/stat_export.h"
 #include "core/system.h"
 #include "sim/log.h"
+#include "sim/stats.h"
 #include "sweep/sweep_io.h"
 #include "sweep/sweep_runner.h"
 #include "workload/mixes.h"
@@ -497,9 +497,10 @@ runAndExport(const SystemConfig &cfg)
     const SystemResults r = sys.run();
     std::ostringstream os;
     dumpResults(r, os);
-    SystemStatExport exporter(sys.memory());
-    exporter.refresh();
-    return {os.str(), exporter.root().flattened()};
+    stats::FlatStats flat;
+    stats::Writer writer(flat);
+    sys.exportStats(writer);
+    return {os.str(), flat};
 }
 
 TEST(TierObs, TracingDoesNotPerturbResults)

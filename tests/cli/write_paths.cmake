@@ -6,9 +6,8 @@
 #     whose pass-through coalescer is the only one that splits
 #     multi-word writes) at org=slc and at org=tlc, where each step
 #     runs a full round train;
-#   - multiword=1 under RWoW-RD at org=slc and org=tlc (two-step
-#     writes, WoW groups, round chains and round-boundary pauses; the
-#     WoW coalescer never splits multi-word writes);
+#   - RWoW-RD at org=slc and org=tlc (two-step writes, WoW groups,
+#     round chains and round-boundary pauses);
 #   - the write-cancellation comparator at org=qlc (round-boundary
 #     cancellation of coarse writes);
 #   - the PreSET comparator at org=tlc.
@@ -21,8 +20,8 @@
 #
 #   for a in "mode=RoW-NR multiword=1 org=slc" \
 #            "mode=RoW-NR multiword=1 org=tlc" \
-#            "mode=RWoW-RD multiword=1 org=slc" \
-#            "mode=RWoW-RD multiword=1 org=tlc" \
+#            "mode=RWoW-RD org=slc" \
+#            "mode=RWoW-RD org=tlc" \
 #            "mode=Baseline cancel=1 org=qlc" \
 #            "mode=Baseline preset=1 org=tlc"; do
 #       pcmap $a insts=50000 stats=1
@@ -31,8 +30,8 @@
 set(runs
     "mode=RoW-NR multiword=1 org=slc"
     "mode=RoW-NR multiword=1 org=tlc"
-    "mode=RWoW-RD multiword=1 org=slc"
-    "mode=RWoW-RD multiword=1 org=tlc"
+    "mode=RWoW-RD org=slc"
+    "mode=RWoW-RD org=tlc"
     "mode=Baseline cancel=1 org=qlc"
     "mode=Baseline preset=1 org=tlc")
 

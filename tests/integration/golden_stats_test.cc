@@ -2,7 +2,7 @@
  * @file
  * Golden-stats regression harness: runs the quickstart configuration
  * (workload MP1) for the baseline and the full PCMap system and
- * compares key SystemStatExport-backed counters against a checked-in
+ * compares key System::exportStats counters against a checked-in
  * snapshot with explicit per-key tolerances.
  *
  * Golden file format (tests/integration/golden_stats.txt):

@@ -1,58 +1,14 @@
 /**
  * @file
- * Tests for the log-bucketed latency histogram and its stats-tree
- * export: bucket geometry, the documented ~3% percentile error bound,
- * merge/reset semantics, the Percentiles stat kind's key naming, and
- * the KeyScratch guarantee that exporting the seven percentile keys
- * does not chain per-suffix string concatenations.
+ * Tests for the log-bucketed latency histogram: bucket geometry, the
+ * documented ~3% percentile error bound and merge/reset semantics.
+ * Its seven-key stat export is tested with the stat writer
+ * (tests/sim/stats_test.cc).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
-#include <sstream>
-#include <string>
-
 #include "obs/histogram.h"
-#include "sim/stats.h"
-
-// Count every heap allocation in this binary so the KeyScratch test
-// below can bound what exporting a Percentiles stat costs.  The array
-// forms route through the scalar ones by default, so replacing the
-// scalar pair is sufficient for counting.
-namespace {
-std::uint64_t g_heapAllocs = 0;
-} // namespace
-
-// GCC pairs its builtin model of ::operator new with the replaced
-// delete below and warns about malloc/free mixing that cannot happen
-// once both replacements are linked in.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void *
-operator new(std::size_t size)
-{
-    ++g_heapAllocs;
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-#pragma GCC diagnostic pop
 
 namespace pcmap {
 namespace {
@@ -165,74 +121,6 @@ TEST(LogHistogramTest, ResetClearsEverything)
     EXPECT_EQ(h.percentile(50.0), 0u);
     h.sample(8);
     EXPECT_EQ(h.minSeen(), 8u);
-}
-
-TEST(PercentilesStatTest, ExportsSevenSuffixedKeys)
-{
-    stats::StatGroup group("ctrl");
-    stats::Percentiles p(group, "readLatencyHistNs",
-                         "read latency percentiles");
-    stats::Percentiles::Values v;
-    v.p50 = 110.0;
-    v.p90 = 200.0;
-    v.p99 = 310.0;
-    v.p999 = 420.0;
-    v.max = 500.0;
-    v.mean = 150.5;
-    v.samples = 4242.0;
-    p.set(v);
-
-    stats::FlatStats flat = group.flattened();
-    ASSERT_EQ(flat.size(), 7u);
-    EXPECT_EQ(p.flatSize(), 7u);
-    EXPECT_EQ(flat[0].first, "ctrl.readLatencyHistNs.p50");
-    EXPECT_DOUBLE_EQ(flat[0].second, 110.0);
-    EXPECT_EQ(flat[1].first, "ctrl.readLatencyHistNs.p90");
-    EXPECT_EQ(flat[2].first, "ctrl.readLatencyHistNs.p99");
-    EXPECT_EQ(flat[3].first, "ctrl.readLatencyHistNs.p999");
-    EXPECT_DOUBLE_EQ(flat[3].second, 420.0);
-    EXPECT_EQ(flat[4].first, "ctrl.readLatencyHistNs.max");
-    EXPECT_EQ(flat[5].first, "ctrl.readLatencyHistNs.mean");
-    EXPECT_EQ(flat[6].first, "ctrl.readLatencyHistNs.samples");
-    EXPECT_DOUBLE_EQ(flat[6].second, 4242.0);
-
-    // dump() names identically to collect().
-    std::ostringstream os;
-    group.dump(os);
-    for (const auto &[key, value] : flat)
-        EXPECT_NE(os.str().find(key), std::string::npos) << key;
-
-    p.reset();
-    flat = group.flattened();
-    EXPECT_DOUBLE_EQ(flat[0].second, 0.0);
-    EXPECT_DOUBLE_EQ(flat[6].second, 0.0);
-}
-
-TEST(PercentilesStatTest, CollectUsesKeyScratchNotConcatChains)
-{
-    stats::StatGroup group("controller03");
-    stats::Percentiles p(group, "queueResidencyNs",
-                         "queue residency percentiles");
-    p.set({});
-
-    stats::FlatStats out;
-    out.reserve(16);
-    // Warm up once (stream/locale one-time setup has nothing to do
-    // with collect, but keep the measured region minimal anyway).
-    group.collect(out, "chan0.");
-    out.clear();
-
-    const std::uint64_t before = g_heapAllocs;
-    group.collect(out, "chan0.");
-    const std::uint64_t spent = g_heapAllocs - before;
-    ASSERT_EQ(out.size(), 7u);
-    // One path scratch, one KeyScratch buffer, and one copy per
-    // exported key.  A naive prefix+name+suffix build per value would
-    // at least double this; the bound fails loudly if the KeyScratch
-    // path regresses.
-    EXPECT_LE(spent, 10u);
-    // Keys long enough that none of this hid in SSO.
-    EXPECT_EQ(out[0].first, "chan0.controller03.queueResidencyNs.p50");
 }
 
 } // namespace

@@ -9,9 +9,12 @@
 
 #include <stdexcept>
 
+#include "core/system.h"
 #include "sim/log.h"
+#include "sim/stats.h"
 #include "sweep/sweep_io.h"
 #include "sweep/sweep_runner.h"
+#include "workload/mixes.h"
 
 namespace pcmap::sweep {
 namespace {
@@ -115,6 +118,16 @@ TEST(SweepRunner, CollectsStatExportCounters)
     EXPECT_DOUBLE_EQ(
         reads,
         static_cast<double>(report.rows[0].results.readsCompleted));
+
+    // The row's listing is System::exportStats of the same run.
+    const SweepPoint &p = report.rows[0].point;
+    System sys(p.config,
+               workload::makeWorkload(p.workload, p.config.numCores));
+    sys.run();
+    stats::FlatStats direct;
+    stats::Writer writer(direct);
+    sys.exportStats(writer);
+    EXPECT_EQ(flat, direct);
 }
 
 TEST(SweepRunner, FindLocatesRowsByAxes)
